@@ -30,8 +30,8 @@ pub struct TrialMetrics {
     pub max_vulnerability_secs: f64,
     /// Sum of vulnerability windows, for averaging.
     pub total_vulnerability_secs: f64,
-    /// Discrete events the trial's main loop processed — the unit the
-    /// benchmark trajectory reports throughput in (events/sec).
+    /// Discrete events the trial's main loop processed — the unit of
+    /// event-loop cost (farmbench's `core.loop.ns_per_event`).
     pub events_processed: u64,
     /// Rebuilds that found no eligible target anywhere (must stay zero
     /// at the paper's 40% utilization; asserted by the invariants).

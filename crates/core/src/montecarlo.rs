@@ -92,23 +92,20 @@ pub fn run_trial(
 /// trials are bit-identical to fresh ones (see
 /// `tests/workspace_identity.rs`), so this is purely a throughput
 /// optimization.
-///
-/// Setting `FARM_WORKSPACE=0` (or `off`) disables reuse and rebuilds
-/// the simulation per trial — the benchmark harness uses this to
-/// measure the recycling win, and CI diffs the two modes.
 pub struct TrialWorkspace {
     sim: Option<Simulation>,
     reuse: bool,
 }
 
 impl TrialWorkspace {
-    /// A workspace honouring the `FARM_WORKSPACE` environment knob.
+    /// A workspace that recycles its simulation between trials.
     pub fn new() -> Self {
-        Self::with_reuse(workspace_reuse_enabled())
+        Self::with_reuse(true)
     }
 
-    /// A workspace with reuse explicitly on or off (tests use this to
-    /// compare the two modes without touching process-global state).
+    /// A workspace with reuse explicitly on or off. Off rebuilds the
+    /// simulation per trial: the reference the identity tests compare
+    /// recycling against.
     pub fn with_reuse(reuse: bool) -> Self {
         TrialWorkspace { sim: None, reuse }
     }
@@ -128,18 +125,6 @@ impl TrialWorkspace {
 impl Default for TrialWorkspace {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Is per-worker workspace reuse enabled? Defaults to on; set
-/// `FARM_WORKSPACE=0` (or `off`) to rebuild every trial from scratch.
-pub fn workspace_reuse_enabled() -> bool {
-    match std::env::var("FARM_WORKSPACE") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off"))
-        }
-        Err(_) => true,
     }
 }
 
@@ -191,6 +176,15 @@ type WorkerPartial = (
     Option<EventProfile>,
     Vec<(u64, TrialArtifacts)>,
     Vec<HeldChunk>,
+);
+
+/// What the chunk pool hands back: the committed chunk summaries
+/// (unfolded, ascending), the merged profile and the committed trials'
+/// artifacts.
+type PoolOutput = (
+    Vec<(u64, McSummary)>,
+    Option<EventProfile>,
+    Vec<(u64, TrialArtifacts)>,
 );
 
 /// Settle a worker's held chunks against the stopping frontier: commit
@@ -418,8 +412,8 @@ pub fn run_trials(cfg: &SystemConfig, master_seed: u64, trials: u64, mode: Trial
 /// Degree of parallelism: physical parallelism, bounded so that large
 /// per-trial state (a 2 PiB system with 1 GiB groups holds a few
 /// million block records) does not exhaust memory. A `FARM_THREADS`
-/// environment variable overrides the default — used by the benchmark
-/// harness to compare single-thread and saturated runs.
+/// environment variable overrides the default (`FARM_THREADS=1` runs
+/// every batch on the calling thread).
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("FARM_THREADS") {
         match v.trim().parse::<usize>() {
@@ -499,192 +493,24 @@ pub fn run_trials_observed(
         ConvergenceCore::new(config_label(cfg), trials, anchor, base, obs.target_rel_ci)
     });
     let conv = conv.as_ref();
-    // One validated config per batch: every trial on every worker shares
-    // the `Arc` instead of cloning the `SystemConfig`.
-    let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-    let (summary, profile) = if threads == 1 || trials <= 1 {
-        let mut summary = McSummary::new();
-        let mut profile: Option<EventProfile> = None;
-        let mut ws = TrialWorkspace::new();
-        let shard = batch.as_ref().map(|b| b.shard());
-        let mut stopped = false;
-        for chunk in 0..n_chunks(trials) {
-            if stopped {
-                break;
-            }
-            let (lo, hi) = chunk_bounds(chunk, trials);
-            let mut cs = McSummary::new();
-            for t in lo..hi {
-                let started = shard.as_ref().map(|_| Instant::now());
-                let (m, p, a) = run_trial_observed(&mut ws, &prepared, master_seed, t, mode, obs);
-                record_monitored(&shard, started, &m);
-                progress.trial_done(m.lost_data());
-                cs.push(&m);
-                merge_profile(&mut profile, p);
-                if want_artifacts {
-                    artifacts.push((t, a));
-                }
-                if let Some(c) = conv {
-                    c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
-                    // A stop at boundary B keeps exactly trials 0..B; in
-                    // trial order the boundary can only be t+1, and stop
-                    // boundaries are chunk-aligned, so the break lands
-                    // exactly on this chunk's edge and the fold below
-                    // still sees only whole chunks.
-                    if t + 1 >= c.stop_limit() {
-                        stopped = true;
-                        break;
-                    }
-                }
-            }
-            summary.merge(&cs);
-        }
-        (summary, profile)
-    } else {
-        let next = AtomicU64::new(0);
-        let total_chunks = n_chunks(trials);
-        // Under the stopping rule a worker may not commit a chunk until
-        // every stop boundary at or below its upper bound has been
-        // decided — it buffers finished chunks and settles them against
-        // the core's `decided_through` / `stop_limit` frontier (bounded
-        // by one boundary interval plus scheduling skew). Without
-        // stopping, chunks commit as they finish.
-        let stopping = conv.is_some_and(|c| c.stopping());
-        let mut partials: Vec<WorkerPartial> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next = &next;
-                let progress = &progress;
-                let prepared = &prepared;
-                let batch = &batch;
-                handles.push(scope.spawn(move || {
-                    let mut chunks: Vec<(u64, McSummary)> = Vec::new();
-                    let mut local_profile: Option<EventProfile> = None;
-                    let mut local_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-                    let mut held: Vec<HeldChunk> = Vec::new();
-                    let mut ws = TrialWorkspace::new();
-                    let shard = batch.as_ref().map(|b| b.shard());
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= total_chunks {
-                            break;
-                        }
-                        let (lo, hi) = chunk_bounds(chunk, trials);
-                        if let Some(c) = conv {
-                            // Stop limits are chunk-aligned, so a chunk
-                            // is entirely inside or entirely outside the
-                            // kept prefix — never straddling it.
-                            if lo >= c.stop_limit() {
-                                break;
-                            }
-                        }
-                        let mut cs = McSummary::new();
-                        let mut sideband: Vec<TrialSideband> = Vec::new();
-                        let mut chunk_profile: Option<EventProfile> = None;
-                        let mut chunk_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
-                        for t in lo..hi {
-                            let started = shard.as_ref().map(|_| Instant::now());
-                            let (m, p, a) =
-                                run_trial_observed(&mut ws, prepared, master_seed, t, mode, obs);
-                            progress.trial_done(m.lost_data());
-                            if let Some(c) = conv {
-                                c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
-                            }
-                            cs.push(&m);
-                            if stopping {
-                                sideband.push(TrialSideband {
-                                    lost: m.lost_data(),
-                                    events: m.events_processed,
-                                    wall_secs: started.map_or(0.0, |t0| t0.elapsed().as_secs_f64()),
-                                });
-                                merge_profile(&mut chunk_profile, p);
-                                if want_artifacts {
-                                    chunk_artifacts.push((t, a));
-                                }
-                            } else {
-                                record_monitored(&shard, started, &m);
-                                merge_profile(&mut local_profile, p);
-                                if want_artifacts {
-                                    local_artifacts.push((t, a));
-                                }
-                            }
-                        }
-                        if stopping {
-                            held.push(HeldChunk {
-                                chunk,
-                                lo,
-                                hi,
-                                summary: cs,
-                                trials: sideband,
-                                profile: chunk_profile,
-                                artifacts: chunk_artifacts,
-                            });
-                            let c = conv.expect("stopping implies a convergence core");
-                            settle_held(
-                                &mut held,
-                                c.decided_through(),
-                                c.stop_limit(),
-                                &mut chunks,
-                                &mut local_profile,
-                                &mut local_artifacts,
-                                &shard,
-                                want_artifacts,
-                            );
-                        } else {
-                            chunks.push((chunk, cs));
-                        }
-                    }
-                    (chunks, local_profile, local_artifacts, held)
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("trial thread panicked"));
-            }
-        });
-        let mut all_chunks: Vec<(u64, McSummary)> = Vec::new();
-        let mut profile: Option<EventProfile> = None;
-        // Settle chunks still undecided when the workers exited: every
-        // trial has been submitted by now, so the stop limit is final —
-        // commit below it, discard at or above it. Committed through one
-        // extra shard so the monitor's totals match the summary exactly.
-        let leftover: Vec<HeldChunk> = partials
-            .iter_mut()
-            .flat_map(|(_, _, _, held)| held.drain(..))
-            .collect();
-        if !leftover.is_empty() {
-            let limit = conv.map_or(u64::MAX, |c| c.stop_limit());
-            let shard = batch.as_ref().map(|b| b.shard());
-            for h in leftover {
-                if h.lo < limit {
-                    commit_chunk(
-                        h,
-                        &mut all_chunks,
-                        &mut profile,
-                        &mut artifacts,
-                        &shard,
-                        want_artifacts,
-                    );
-                }
-            }
-        }
-        for (cs, p, a, _) in partials {
-            all_chunks.extend(cs);
-            merge_profile(&mut profile, p.map(Box::new));
-            artifacts.extend(a);
-        }
-        // The canonical fold: ascending chunk order, one merge per
-        // chunk — bit-identical to the sequential path above and to any
-        // fleet partition of the same chunk space.
-        all_chunks.sort_by_key(|&(c, _)| c);
-        let mut summary = McSummary::new();
-        for (_, cs) in &all_chunks {
-            summary.merge(cs);
-        }
-        (summary, profile)
+    let pool = ChunkPool {
+        prepared: Arc::new(PreparedConfig::new(cfg.clone())),
+        master_seed,
+        trials_total: trials,
+        mode,
+        obs,
+        conv,
+        want_artifacts,
+        batch: &batch,
+        progress: &progress,
     };
+    let (chunks, profile, artifacts) = pool.run(0, n_chunks(trials), threads);
     progress.finish();
+    // A triggered stop keeps exactly the chunks below its (chunk-aligned)
+    // limit; the pool committed each of them once.
+    let kept = conv.map_or(trials, |c| c.stop_limit().min(trials));
+    let summary = fold_chunk_summaries(chunks, n_chunks(kept))
+        .expect("the pool commits every kept chunk exactly once");
     // Flush the convergence stream (final record carries the exact
     // totals) and cross-check it against the aggregate: the tracker was
     // fed exactly the committed trials, in trial order.
@@ -710,33 +536,6 @@ pub fn run_trials_observed(
         emit_artifacts(obs, &config_label(cfg), artifacts);
     }
     (summary, profile)
-}
-
-/// Run one reduction chunk of a campaign: sequential pushes of its
-/// trials in ascending order — the only way a chunk summary is ever
-/// built, on any execution path.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    ws: &mut TrialWorkspace,
-    prepared: &Arc<PreparedConfig>,
-    master_seed: u64,
-    trials_total: u64,
-    chunk: u64,
-    mode: TrialMode,
-    obs: &ObsOptions,
-    shard: &Option<Arc<WorkerShard>>,
-    progress: &Progress,
-) -> McSummary {
-    let (lo, hi) = chunk_bounds(chunk, trials_total);
-    let mut cs = McSummary::new();
-    for t in lo..hi {
-        let started = shard.as_ref().map(|_| Instant::now());
-        let (m, _profile, _artifacts) = run_trial_observed(ws, prepared, master_seed, t, mode, obs);
-        record_monitored(shard, started, &m);
-        progress.trial_done(m.lost_data());
-        cs.push(&m);
-    }
-    cs
 }
 
 /// Run reduction chunks `[chunk_lo, chunk_hi)` of a campaign of
@@ -784,70 +583,19 @@ pub fn run_trial_chunks_observed(
     };
     let batch: Option<BatchHandle> =
         monitor.map(|mon| mon.begin_batch_anchored(config_label(cfg), range_trials, anchor));
-    let prepared = Arc::new(PreparedConfig::new(cfg.clone()));
-    let mut chunks: Vec<(u64, McSummary)> = Vec::new();
-    if threads == 1 || chunk_hi.saturating_sub(chunk_lo) <= 1 {
-        let mut ws = TrialWorkspace::new();
-        let shard = batch.as_ref().map(|b| b.shard());
-        for chunk in chunk_lo..chunk_hi {
-            let cs = run_chunk(
-                &mut ws,
-                &prepared,
-                master_seed,
-                trials_total,
-                chunk,
-                mode,
-                obs,
-                &shard,
-                &progress,
-            );
-            chunks.push((chunk, cs));
-        }
-    } else {
-        let next = AtomicU64::new(chunk_lo);
-        let mut partials: Vec<Vec<(u64, McSummary)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next = &next;
-                let progress = &progress;
-                let prepared = &prepared;
-                let batch = &batch;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(u64, McSummary)> = Vec::new();
-                    let mut ws = TrialWorkspace::new();
-                    let shard = batch.as_ref().map(|b| b.shard());
-                    loop {
-                        let chunk = next.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunk_hi {
-                            break;
-                        }
-                        let cs = run_chunk(
-                            &mut ws,
-                            prepared,
-                            master_seed,
-                            trials_total,
-                            chunk,
-                            mode,
-                            obs,
-                            &shard,
-                            progress,
-                        );
-                        local.push((chunk, cs));
-                    }
-                    local
-                }));
-            }
-            for h in handles {
-                partials.push(h.join().expect("trial thread panicked"));
-            }
-        });
-        for p in partials {
-            chunks.extend(p);
-        }
-    }
+    let pool = ChunkPool {
+        prepared: Arc::new(PreparedConfig::new(cfg.clone())),
+        master_seed,
+        trials_total,
+        mode,
+        obs,
+        conv: None,
+        want_artifacts: false,
+        batch: &batch,
+        progress: &progress,
+    };
+    let (chunks, _profile, _artifacts) = pool.run(chunk_lo, chunk_hi, threads);
     progress.finish();
-    chunks.sort_by_key(|&(c, _)| c);
     if let Some(b) = &batch {
         // Pool this worker's distributions (ascending fold, as
         // everywhere) for the monitor's span-phase summaries, then
@@ -865,6 +613,174 @@ pub fn run_trial_chunks_observed(
         b.finish();
     }
     chunks
+}
+
+/// The single chunk driver behind both entry points. Workers (threads,
+/// or the caller's own thread) claim chunks in ascending order from a
+/// shared counter; each chunk's summary is built by pushing its trials
+/// in ascending order, the only way a chunk summary is ever built.
+struct ChunkPool<'a> {
+    /// One validated config per batch: every trial on every worker
+    /// shares it instead of cloning the `SystemConfig`.
+    prepared: Arc<PreparedConfig>,
+    master_seed: u64,
+    trials_total: u64,
+    mode: TrialMode,
+    obs: &'a ObsOptions,
+    conv: Option<&'a ConvergenceCore>,
+    want_artifacts: bool,
+    batch: &'a Option<BatchHandle>,
+    progress: &'a Progress,
+}
+
+impl ChunkPool<'_> {
+    /// Run chunks `[chunk_lo, chunk_hi)` on `threads` workers (inline
+    /// when there is one thread or at most one chunk).
+    fn run(&self, chunk_lo: u64, chunk_hi: u64, threads: usize) -> PoolOutput {
+        let next = AtomicU64::new(chunk_lo);
+        let mut partials: Vec<WorkerPartial> =
+            if threads == 1 || chunk_hi.saturating_sub(chunk_lo) <= 1 {
+                vec![self.worker(&next, chunk_hi)]
+            } else {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| scope.spawn(|| self.worker(&next, chunk_hi)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("trial thread panicked"))
+                        .collect()
+                })
+            };
+        let mut chunks: Vec<(u64, McSummary)> = Vec::new();
+        let mut profile: Option<EventProfile> = None;
+        let mut artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
+        // Settle chunks still undecided when the workers exited: every
+        // trial has been submitted by now, so the stop limit is final —
+        // commit below it, discard at or above it. Committed through one
+        // extra shard so the monitor's totals match the summary exactly.
+        let leftover: Vec<HeldChunk> = partials
+            .iter_mut()
+            .flat_map(|(_, _, _, held)| held.drain(..))
+            .collect();
+        if !leftover.is_empty() {
+            let limit = self.conv.map_or(u64::MAX, |c| c.stop_limit());
+            let shard = self.batch.as_ref().map(|b| b.shard());
+            for h in leftover {
+                if h.lo < limit {
+                    commit_chunk(
+                        h,
+                        &mut chunks,
+                        &mut profile,
+                        &mut artifacts,
+                        &shard,
+                        self.want_artifacts,
+                    );
+                }
+            }
+        }
+        for (cs, p, a, _) in partials {
+            chunks.extend(cs);
+            merge_profile(&mut profile, p.map(Box::new));
+            artifacts.extend(a);
+        }
+        chunks.sort_by_key(|&(c, _)| c);
+        (chunks, profile, artifacts)
+    }
+
+    /// One worker: claim chunks until the range (or a triggered stop)
+    /// is exhausted. Under the stopping rule a worker may not commit a
+    /// chunk until every stop boundary at or below its upper bound has
+    /// been decided — it buffers finished chunks and settles them
+    /// against the core's `decided_through` / `stop_limit` frontier
+    /// (bounded by one boundary interval plus scheduling skew). Without
+    /// stopping, chunks commit as they finish.
+    fn worker(&self, next: &AtomicU64, chunk_hi: u64) -> WorkerPartial {
+        let stopping = self.conv.is_some_and(|c| c.stopping());
+        let mut chunks: Vec<(u64, McSummary)> = Vec::new();
+        let mut local_profile: Option<EventProfile> = None;
+        let mut local_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
+        let mut held: Vec<HeldChunk> = Vec::new();
+        let mut ws = TrialWorkspace::new();
+        let shard = self.batch.as_ref().map(|b| b.shard());
+        loop {
+            let chunk = next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= chunk_hi {
+                break;
+            }
+            let (lo, hi) = chunk_bounds(chunk, self.trials_total);
+            if let Some(c) = self.conv {
+                // Stop limits are chunk-aligned, so a chunk is entirely
+                // inside or entirely outside the kept prefix — never
+                // straddling it.
+                if lo >= c.stop_limit() {
+                    break;
+                }
+            }
+            let mut cs = McSummary::new();
+            let mut sideband: Vec<TrialSideband> = Vec::new();
+            let mut chunk_profile: Option<EventProfile> = None;
+            let mut chunk_artifacts: Vec<(u64, TrialArtifacts)> = Vec::new();
+            for t in lo..hi {
+                let started = shard.as_ref().map(|_| Instant::now());
+                let (m, p, a) = run_trial_observed(
+                    &mut ws,
+                    &self.prepared,
+                    self.master_seed,
+                    t,
+                    self.mode,
+                    self.obs,
+                );
+                self.progress.trial_done(m.lost_data());
+                if let Some(c) = self.conv {
+                    c.submit(t, m.lost_data(), m.first_loss.map(|ft| ft.as_secs()));
+                }
+                cs.push(&m);
+                if stopping {
+                    sideband.push(TrialSideband {
+                        lost: m.lost_data(),
+                        events: m.events_processed,
+                        wall_secs: started.map_or(0.0, |t0| t0.elapsed().as_secs_f64()),
+                    });
+                    merge_profile(&mut chunk_profile, p);
+                    if self.want_artifacts {
+                        chunk_artifacts.push((t, a));
+                    }
+                } else {
+                    record_monitored(&shard, started, &m);
+                    merge_profile(&mut local_profile, p);
+                    if self.want_artifacts {
+                        local_artifacts.push((t, a));
+                    }
+                }
+            }
+            if stopping {
+                held.push(HeldChunk {
+                    chunk,
+                    lo,
+                    hi,
+                    summary: cs,
+                    trials: sideband,
+                    profile: chunk_profile,
+                    artifacts: chunk_artifacts,
+                });
+                let c = self.conv.expect("stopping implies a convergence core");
+                settle_held(
+                    &mut held,
+                    c.decided_through(),
+                    c.stop_limit(),
+                    &mut chunks,
+                    &mut local_profile,
+                    &mut local_artifacts,
+                    &shard,
+                    self.want_artifacts,
+                );
+            } else {
+                chunks.push((chunk, cs));
+            }
+        }
+        (chunks, local_profile, local_artifacts, held)
+    }
 }
 
 /// Write the batch's telemetry artifacts: timeline bands, post-mortem

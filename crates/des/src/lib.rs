@@ -6,7 +6,7 @@
 //! a sequential event queue per Monte-Carlo trial, so this crate provides:
 //!
 //! * [`SimTime`] / [`Duration`] — simulated time in seconds with total order,
-//! * [`EventQueue`] — a cancellable priority queue with deterministic
+//! * [`EventQueue`] — a binary-heap future-event list with deterministic
 //!   FIFO tie-breaking for simultaneous events,
 //! * [`RngStream`] — reproducible, independently seeded random-number
 //!   streams (one per logical entity) built on a SplitMix64 seed sequence,
@@ -27,17 +27,13 @@
 //! assert_eq!(t.as_secs(), 1.0);
 //! ```
 
-pub mod anyqueue;
-pub mod calendar;
 pub mod hist;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use anyqueue::{AnyQueue, QueueKind};
-pub use calendar::CalendarQueue;
 pub use hist::Histogram;
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::{derive_seed, RngStream, SeedFactory};
 pub use time::{Duration, SimTime};

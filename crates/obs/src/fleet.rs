@@ -88,6 +88,11 @@ pub fn fleet_workers_from_env() -> usize {
 // A minimal JSON reader.
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The documents
+/// this reads nest a few levels; the cap keeps a corrupt status file or
+/// a foreign listener's reply from overflowing the reader's stack.
+const JSON_MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Numbers are kept as f64 (every counter this
 /// repo emits fits in the 2^53 exact-integer range).
 #[derive(Clone, Debug, PartialEq)]
@@ -101,11 +106,12 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse one JSON document (trailing whitespace allowed).
+    /// Parse one JSON document (trailing whitespace allowed). Nesting
+    /// deeper than 128 arrays/objects is an error.
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -163,10 +169,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == JSON_MAX_DEPTH => Err(format!(
+            "nesting deeper than {JSON_MAX_DEPTH} at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut members = Vec::new();
@@ -177,7 +187,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -186,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                members.push((key, parse_value(b, pos)?));
+                members.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -207,7 +217,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -243,10 +253,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                             Some(b'u') => {
                                 let hex =
                                     b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let hex =
-                                    std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
+                                // Exactly four hex digits: `from_str_radix`
+                                // alone would also take a leading sign.
+                                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                    return Err(format!("bad \\u escape at byte {pos}"));
+                                }
+                                let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+                                let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                                 // Surrogate pairs never appear in the
                                 // documents this reads (all writers
                                 // escape only control chars); map
@@ -828,6 +841,15 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        assert!(Json::parse(r#""\u+041""#).is_err());
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        // Nesting is capped rather than recursing until the stack
+        // overflows; documents up to the cap still parse.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(JSON_MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(JSON_MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&format!("{}1{}", "{\"a\":".repeat(200), "}".repeat(200))).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Peak resident-set-size of the current process.
 //!
 //! The live campaign monitor stamps peak RSS into every status snapshot
-//! and `/metrics` scrape, and the benchmark report records it per run.
+//! and `/metrics` scrape, and farmbench reports it as `peak_rss_mb`.
 //! On platforms without a readable `/proc/self/status` (macOS, or a
 //! hardened container) the value is *absent*, not zero: callers get
 //! `None`, report an explicit `null`, and a once-per-process diagnostic

@@ -1,6 +1,5 @@
 //! Weighted Highest-Random-Weight (rendezvous) placement — an O(N)
-//! baseline used to sanity-check the RUSH implementation and in the
-//! placement benchmarks. It has perfect minimal migration and balance but
+//! baseline used to sanity-check the RUSH implementation. It has perfect minimal migration and balance but
 //! scans every disk per lookup, which is exactly why RUSH-family
 //! algorithms exist for systems with thousands of drives.
 

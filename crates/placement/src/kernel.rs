@@ -2,8 +2,8 @@
 //!
 //! Initial placement hashes one attempt-0 draw per (group, candidate
 //! index) — at paper scale tens of thousands of dependent `combine`
-//! chains per trial, ~94 % of trial setup time (BENCH_PR8.json,
-//! `setup_phases`). Each chain is only ~12 sequential multiplies, so a
+//! chains per trial, the bulk of trial setup time (farmbench's
+//! `core.setup.placement_us_per_trial` probe times it). Each chain is only ~12 sequential multiplies, so a
 //! single walk is latency-bound; but the chains of *different groups*
 //! are independent, which is exactly the shape SIMD (and scalar
 //! instruction-level parallelism) eats: compute candidate index `i` for
@@ -31,12 +31,12 @@
 //! (an unsupported or unknown value logs one stderr notice and falls
 //! back to autodetection rather than crashing). The batched engine as a
 //! whole — prehashing *and* the memoized walk prefixes it feeds (see
-//! `farm_core`'s `GroupLayout`) — can be disabled outright with
-//! `FARM_PLACE_ENGINE=0`, which the benchmark harness uses for
-//! interleaved off/on pairs.
+//! `farm_core`'s `GroupLayout`) — can be switched off with
+//! [`set_engine_enabled`]; the sequential walk that leaves is the
+//! reference the identity tests compare the engine against.
 
 use crate::hash::{self, COMBINE_A, COMBINE_B, MIX_INC, MIX_M1, MIX_M2};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Groups hashed per batched round. Eight 64-bit lanes fill two AVX2
 /// registers, four SSE2 registers, or eight scalar chains — enough to
@@ -267,39 +267,20 @@ pub fn draw_hashes_strip(
 
 // ----- engine toggle ------------------------------------------------------
 
-/// 2 = not yet read from the environment.
-const ENGINE_UNSET: u8 = 2;
-
-static ENGINE: AtomicU8 = AtomicU8::new(ENGINE_UNSET);
+static ENGINE: AtomicBool = AtomicBool::new(true);
 
 /// Is the batched placement engine (prehashed draws + memoized walk
-/// prefixes) enabled? Defaults to on; `FARM_PLACE_ENGINE=0` (or `off`)
-/// disables it, falling back to the pure sequential walk everywhere.
-/// Purely a perf/debug knob: results are byte-identical either way.
+/// prefixes) enabled? On unless [`set_engine_enabled`] turned it off,
+/// which falls back to the pure sequential walk everywhere. Results
+/// are byte-identical either way.
 pub fn engine_enabled() -> bool {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = match std::env::var("FARM_PLACE_ENGINE") {
-                Ok(v) => {
-                    let v = v.trim();
-                    !(v == "0" || v.eq_ignore_ascii_case("off"))
-                }
-                Err(_) => true,
-            };
-            ENGINE.store(on as u8, Ordering::Relaxed);
-            on
-        }
-    }
+    ENGINE.load(Ordering::Relaxed)
 }
 
-/// Force the engine on or off (the benchmark harness interleaves the
-/// two in one process). Returns the previous setting.
+/// Force the engine on or off (tests compare the two in one process).
+/// Returns the previous setting.
 pub fn set_engine_enabled(on: bool) -> bool {
-    let prev = engine_enabled();
-    ENGINE.store(on as u8, Ordering::Relaxed);
-    prev
+    ENGINE.swap(on, Ordering::Relaxed)
 }
 
 // ----- scalar core --------------------------------------------------------

@@ -12,8 +12,7 @@
 //!   sub-clusters (how large systems actually grow, one batch at a time),
 //! * [`Rush`] — the placement function: deterministic, balanced,
 //!   minimally-migrating on growth, with distinct candidates per group,
-//! * [`Hrw`] — a weighted rendezvous-hashing baseline used in tests and
-//!   benchmarks.
+//! * [`Hrw`] — a weighted rendezvous-hashing baseline used in tests.
 //!
 //! ```
 //! use farm_placement::{ClusterMap, Rush};

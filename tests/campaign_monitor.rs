@@ -9,9 +9,9 @@
 //! [`monitor`] and identifies its own batch by a distinctive
 //! `trials_total` rather than by batch index.
 
-use farm_bench::json::Json;
 use farm_core::prelude::*;
 use farm_des::stats::Running;
+use farm_obs::fleet::Json;
 use farm_obs::{CampaignMonitor, ObsOptions, StatusSpec, TimelineSpec};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -83,7 +83,7 @@ fn batch_entry(doc: &str, trials_total: u64) -> Option<Json> {
         Some("farm-status-v1")
     );
     json.get("batches")?
-        .as_arr()?
+        .as_array()?
         .iter()
         .find(|b| b.get("trials_total").and_then(|t| t.as_f64()) == Some(trials_total as f64))
         .cloned()

@@ -6,9 +6,9 @@
 //! scheduled — with the stopped run a bit-identical prefix of the
 //! unstopped one.
 
-use farm_bench::json::Json;
 use farm_core::prelude::*;
 use farm_des::stats::Running;
+use farm_obs::fleet::Json;
 use farm_obs::{ConvergenceSpec, ObsOptions};
 
 fn tiny() -> SystemConfig {

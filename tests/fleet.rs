@@ -32,50 +32,61 @@ fn fleet_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The single-process reference summary, compact form.
-fn single_process_compact() -> String {
+/// The single-process summary of a `trials`-trial campaign run on
+/// `threads` threads, compact form.
+fn single_process_compact(trials: u64, threads: usize) -> String {
     let o = opts();
     let (summary, _) = run_trials_observed(
         &fleet_config(&o),
         SEED,
-        TRIALS,
+        trials,
         TrialMode::UntilLoss,
-        1,
+        threads,
         &ObsOptions::off(),
     );
     summary.to_compact()
 }
 
-/// Golden merge test: partition the campaign as a 2-worker and a
-/// 4-worker fleet would, run every range through the worker entry
-/// point (with different thread counts, even), fold, and demand the
-/// exact bytes of the single-process summary.
+/// Golden merge test: partition the campaign as 2-, 3- and 4-worker
+/// fleets would, run every range through the worker entry point (with
+/// different thread counts, even), fold, and demand the exact bytes of
+/// the single-process summary. The campaign sizes include one that is
+/// not a multiple of `CHUNK_TRIALS`, so the ragged final chunk goes
+/// through both entry points too.
 #[test]
 fn fleet_merge_matches_single_process_bit_for_bit() {
     let o = opts();
     let cfg = fleet_config(&o);
-    let reference = single_process_compact();
-    for (workers, threads) in [(2usize, 2usize), (4, 1)] {
-        let mut chunks = Vec::new();
-        for (lo, hi) in plan_ranges(TRIALS, workers) {
-            chunks.extend(run_trial_chunks_observed(
-                &cfg,
-                SEED,
-                TRIALS,
-                lo,
-                hi,
-                TrialMode::UntilLoss,
-                threads,
-                &ObsOptions::off(),
-            ));
-        }
-        let merged = farm_core::montecarlo::fold_chunk_summaries(chunks, n_chunks(TRIALS))
-            .expect("exact coverage");
+    for trials in [TRIALS, 19] {
+        let reference = single_process_compact(trials, 1);
         assert_eq!(
-            merged.to_compact(),
+            single_process_compact(trials, 3),
             reference,
-            "{workers}-worker fleet merge diverged from the single-process run"
+            "{trials} trials: 3 threads diverged from 1"
         );
+        for (workers, threads) in [(2usize, 2usize), (4, 1), (2, 3), (3, 1)] {
+            let mut chunks = Vec::new();
+            for (lo, hi) in plan_ranges(trials, workers) {
+                chunks.extend(run_trial_chunks_observed(
+                    &cfg,
+                    SEED,
+                    trials,
+                    lo,
+                    hi,
+                    TrialMode::UntilLoss,
+                    threads,
+                    &ObsOptions::off(),
+                ));
+            }
+            let merged = farm_core::montecarlo::fold_chunk_summaries(chunks, n_chunks(trials))
+                .expect("exact coverage");
+            assert_eq!(
+                merged.to_compact(),
+                reference,
+                "{trials} trials: {workers}-worker fleet merge on {threads} threads diverged \
+                 from the single-process run"
+            );
+        }
     }
 }
 
@@ -122,7 +133,7 @@ fn fleet_binary_matches_single_binary() {
     let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
     let single_sum = std::fs::read_to_string(dir.join("fleet-summary-single.txt")).unwrap();
     assert_eq!(fleet_sum, single_sum);
-    assert_eq!(fleet_sum.trim(), single_process_compact());
+    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
 
     // The merged snapshot is valid fleet-status-v1 with consistent
     // totals: merged trials == sum over workers.
@@ -172,7 +183,7 @@ fn killed_worker_resumes_without_gaps_or_double_counts() {
     );
 
     let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
-    assert_eq!(fleet_sum.trim(), single_process_compact());
+    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
 
     // Exact coverage straight from the checkpoints: every chunk of the
     // campaign present exactly once across the range files.
@@ -226,7 +237,7 @@ fn coordinator_restart_skips_checkpointed_ranges() {
     let out = run_coordinator(&dir, 2);
     assert!(out.status.success(), "coordinator failed: {out:?}");
     let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
-    assert_eq!(fleet_sum.trim(), single_process_compact());
+    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
 
     let snap = std::fs::read_to_string(dir.join("fleet-status.json")).unwrap();
     let doc = Json::parse(&snap).unwrap();

@@ -5,9 +5,9 @@
 //! data-loss post-mortem carries a critical path whose phase durations
 //! sum to the fatal vulnerability window.
 
-use farm_bench::json::Json;
 use farm_core::prelude::*;
 use farm_disk::latent::LatentConfig;
+use farm_obs::fleet::Json;
 use farm_obs::{ObsOptions, SpanFormat, SpansSpec};
 
 fn tiny() -> SystemConfig {
@@ -190,7 +190,7 @@ fn chrome_trace_export_is_well_formed_json() {
     let doc = Json::parse(&body).expect("chrome trace parses as one JSON document");
     let events = doc
         .get("traceEvents")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .expect("traceEvents array");
     assert!(!events.is_empty(), "trace has events");
     for ev in events {
