@@ -26,8 +26,8 @@ use crate::sim::Simulation;
 use farm_des::rng::derive_seed;
 use farm_obs::{
     diag, BatchHandle, ConvergenceCore, EventProfile, FlightRecorder, ObsOptions, Progress,
-    SpanFormat, SpanRecorder, TimelineBands, TimelineRecorder, TraceSel, TrialSpans, TrialTracer,
-    WorkerShard,
+    SpanFormat, SpanRecorder, TimelineBands, TimelineRecorder, TraceSel, TrialRecorder, TrialSpans,
+    TrialTracer, WorkerShard,
 };
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,13 +130,14 @@ impl Default for TrialWorkspace {
 
 /// Per-trial telemetry a worker carries back to the batch driver: the
 /// trial's timeline rows, any post-mortems its flight recorder emitted,
-/// and (in `FARM_TRACE=loss` mode) the buffered trace of a losing
-/// trial. Empty — and never allocated — when telemetry is off.
+/// its spans, and its trace when the trace selection keeps it (the
+/// sampled trial, or a losing trial in `FARM_TRACE=loss` mode). Empty —
+/// and never allocated — when telemetry is off.
 #[derive(Default)]
 struct TrialArtifacts {
-    timeline: Option<Box<TimelineRecorder>>,
+    timeline: Option<TimelineRecorder>,
     postmortems: Vec<String>,
-    loss_trace: Option<Vec<u8>>,
+    trace: Option<Vec<u8>>,
     spans: Option<TrialSpans>,
 }
 
@@ -305,19 +306,14 @@ fn record_monitored(shard: &Option<Arc<WorkerShard>>, started: Option<Instant>, 
 
 /// Does `obs` ask for anything that produces per-trial artifacts?
 fn artifacts_requested(obs: &ObsOptions) -> bool {
-    obs.timeline.is_some()
-        || obs.postmortem.is_some()
-        || obs.spans.is_some()
-        || matches!(
-            &obs.trace,
-            Some(spec) if spec.sel == TraceSel::Loss
-        )
+    obs.timeline.is_some() || obs.postmortem.is_some() || obs.spans.is_some() || obs.trace.is_some()
 }
 
 /// Run one trial with the requested observability attached: profiling,
-/// tracing, the cluster-state timeline and the flight recorder. Results
-/// are bit-identical to [`run_trial`] — observability never feeds back
-/// into the model.
+/// and — when the batch collects per-trial artifacts — the
+/// cluster-state timeline and the event recorder (tracer, flight
+/// recorder, span recorder). Results are bit-identical to
+/// [`run_trial`] — observability never feeds back into the model.
 fn run_trial_observed(
     ws: &mut TrialWorkspace,
     cfg: &Arc<PreparedConfig>,
@@ -325,72 +321,67 @@ fn run_trial_observed(
     trial: u64,
     mode: TrialMode,
     obs: &ObsOptions,
+    want_artifacts: bool,
 ) -> (TrialMetrics, Option<Box<EventProfile>>, TrialArtifacts) {
     let seed = derive_seed(master_seed, trial);
     let sim = ws.obtain(cfg, seed);
     if obs.profile {
         sim.enable_profiling();
     }
-    if let Some(spec) = &obs.trace {
-        match spec.sel {
-            TraceSel::Trial(sampled) if sampled == trial => match TrialTracer::open(spec, trial) {
-                Ok(t) => sim.set_tracer(t),
-                Err(e) => {
-                    diag::warn_once(
-                        "trace-open",
-                        &format!("cannot open trace sink {:?}: {e}", spec.path),
-                    );
-                }
-            },
-            TraceSel::Trial(_) => {}
-            // Loss mode: trace every trial into memory; the batch
-            // driver keeps only the trials that lost data.
-            TraceSel::Loss => sim.set_tracer(TrialTracer::buffered(trial)),
+    if want_artifacts {
+        if let Some(spec) = &obs.timeline {
+            let duration = cfg.sim_duration.as_secs();
+            sim.set_timeline(TimelineRecorder::new(
+                spec.resolve_interval(duration),
+                duration,
+            ));
         }
-    }
-    if let Some(spec) = &obs.timeline {
-        let duration = cfg.sim_duration.as_secs();
-        sim.set_timeline(TimelineRecorder::new(
-            spec.resolve_interval(duration),
-            duration,
-        ));
-    }
-    if obs.postmortem.is_some() {
-        sim.set_flight(FlightRecorder::new(trial, cfg.n_groups as usize));
-    }
-    if obs.spans.is_some() {
-        sim.set_spans(SpanRecorder::new());
+        let tracer = obs
+            .trace
+            .as_ref()
+            .filter(|spec| spec.sel.selects(trial))
+            .map(|_| TrialTracer::new(trial));
+        let flight = obs
+            .postmortem
+            .as_ref()
+            .map(|_| FlightRecorder::new(trial, cfg.n_groups as usize));
+        let spans = obs.spans.as_ref().map(|_| SpanRecorder::new());
+        if let Some(rec) = TrialRecorder::new(cfg.block_bytes, tracer, flight, spans) {
+            sim.set_recorder(rec);
+        }
     }
     let metrics = match mode {
         TrialMode::Full => sim.run(),
         TrialMode::UntilLoss => sim.run_until_loss(),
     };
-    let mut artifacts = TrialArtifacts::default();
-    if let Some(mut t) = sim.take_tracer() {
-        t.emit(
-            sim.now().as_secs(),
-            "trial_end",
-            format_args!(
-                ",\"failures\":{},\"rebuilds\":{},\"redirections\":{},\"lost_groups\":{}",
-                metrics.disk_failures,
-                metrics.rebuilds_completed,
-                metrics.redirections,
-                metrics.lost_groups
-            ),
-        );
-        t.flush();
-        if let Some(bytes) = t.take_buffer() {
-            if metrics.lost_data() {
-                artifacts.loss_trace = Some(bytes);
+    let mut artifacts = TrialArtifacts {
+        timeline: sim.take_timeline(),
+        ..TrialArtifacts::default()
+    };
+    if let Some(rec) = sim.take_recorder() {
+        let rec = *rec;
+        if let Some(mut t) = rec.trace {
+            // Loss mode traced every trial; keep only the losing ones.
+            let loss_mode = obs.trace.as_ref().is_some_and(|s| s.sel == TraceSel::Loss);
+            if !loss_mode || metrics.lost_data() {
+                t.emit(
+                    sim.now().as_secs(),
+                    "trial_end",
+                    format_args!(
+                        ",\"failures\":{},\"rebuilds\":{},\"redirections\":{},\"lost_groups\":{}",
+                        metrics.disk_failures,
+                        metrics.rebuilds_completed,
+                        metrics.redirections,
+                        metrics.lost_groups
+                    ),
+                );
+                artifacts.trace = Some(t.take_buffer());
             }
         }
-    }
-    artifacts.timeline = sim.take_timeline();
-    if let Some(f) = sim.take_flight() {
-        artifacts.postmortems = f.take_postmortems();
-    }
-    if let Some(mut s) = sim.take_spans() {
-        artifacts.spans = Some(s.take());
+        artifacts.postmortems = rec
+            .flight
+            .map_or_else(Vec::new, FlightRecorder::take_postmortems);
+        artifacts.spans = rec.spans.map(|mut s| s.take());
     }
     (metrics, sim.take_profile(), artifacts)
 }
@@ -464,6 +455,29 @@ pub fn run_trials_observed(
     obs: &ObsOptions,
 ) -> (McSummary, Option<EventProfile>) {
     assert!(threads >= 1);
+    // A timeline too fine to hold in memory is dropped for the whole
+    // batch, before any trial runs.
+    let duration = cfg.sim_duration().as_secs();
+    let without_timeline;
+    let obs = match &obs.timeline {
+        Some(spec) if spec.rows(duration) > farm_obs::timeline::MAX_ROWS => {
+            diag::warn_once(
+                "timeline-rows",
+                &format!(
+                    "timeline interval {}s is too fine: more than {} rows per trial; \
+                     running without a timeline",
+                    spec.resolve_interval(duration),
+                    farm_obs::timeline::MAX_ROWS
+                ),
+            );
+            without_timeline = ObsOptions {
+                timeline: None,
+                ..obs.clone()
+            };
+            &without_timeline
+        }
+        _ => obs,
+    };
     let progress = Progress::new(trials, obs.progress_enabled());
     let want_artifacts = artifacts_requested(obs);
     // Live campaign monitor (status snapshots / the /metrics exporter):
@@ -730,6 +744,7 @@ impl ChunkPool<'_> {
                     t,
                     self.mode,
                     self.obs,
+                    self.want_artifacts,
                 );
                 self.progress.trial_done(m.lost_data());
                 if let Some(c) = self.conv {
@@ -784,7 +799,7 @@ impl ChunkPool<'_> {
 }
 
 /// Write the batch's telemetry artifacts: timeline bands, post-mortem
-/// JSONL, recovery spans, buffered traces of losing trials. Artifacts
+/// JSONL, recovery spans, the selected trials' traces. Artifacts
 /// are sorted by trial index first, so the files are bit-identical
 /// regardless of how the trials were scheduled across worker threads.
 fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialArtifacts)>) {
@@ -865,29 +880,22 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
         }
     }
     if let Some(spec) = &obs.trace {
-        if spec.sel == TraceSel::Loss {
-            let traces = artifacts
-                .iter()
-                .filter_map(|(_, a)| a.loss_trace.as_deref());
-            match &spec.path {
-                Some(p) => match farm_obs::open_batch_file(p) {
-                    Ok((mut f, _, _)) => {
-                        for tr in traces {
-                            let _ = f.write_all(tr);
-                        }
-                    }
-                    Err(e) => {
-                        diag::warn_once(
-                            "trace-open",
-                            &format!("cannot open trace sink {p:?}: {e}"),
-                        );
-                    }
-                },
-                None => {
-                    let mut err = std::io::stderr().lock();
+        let traces = artifacts.iter().filter_map(|(_, a)| a.trace.as_deref());
+        match &spec.path {
+            Some(p) => match farm_obs::open_batch_file(p) {
+                Ok((mut f, _, _)) => {
                     for tr in traces {
-                        let _ = err.write_all(tr);
+                        let _ = f.write_all(tr);
                     }
+                }
+                Err(e) => {
+                    diag::warn_once("trace-open", &format!("cannot open trace sink {p:?}: {e}"));
+                }
+            },
+            None => {
+                let mut err = std::io::stderr().lock();
+                for tr in traces {
+                    let _ = err.write_all(tr);
                 }
             }
         }

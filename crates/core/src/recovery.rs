@@ -8,9 +8,9 @@
 //! monitoring enabled, suspect drives are avoided too.
 
 use crate::layout::BlockRef;
-use crate::sim::{trace_ev, Event, Simulation};
+use crate::sim::{Event, Simulation};
 use farm_des::time::{Duration, SimTime};
-use farm_obs::flight::{kind as flight_kind, NO_DISK};
+use farm_obs::{LossCause, TrialEvent};
 use farm_placement::DiskId;
 
 /// How many hard-eligible candidates to scan while looking for one with
@@ -105,7 +105,7 @@ impl Simulation {
     /// buddies of the group (one replica for mirroring, `m` blocks for
     /// erasure-coded schemes). Fills the caller-provided buffer so the
     /// rebuild hot path can reuse one allocation across a whole trial.
-    pub(crate) fn choose_sources_into(&self, b: BlockRef, sources: &mut Vec<DiskId>) {
+    pub(crate) fn choose_sources_into(&self, b: BlockRef, sources: &mut Vec<u32>) {
         sources.clear();
         let wanted = self.config().scheme.rebuild_sources() as usize;
         let layout = self.layout();
@@ -117,7 +117,7 @@ impl Simulation {
             }
             let home = layout.home(other);
             if self.disk(home).is_active() {
-                sources.push(home);
+                sources.push(home.0);
             }
         }
         debug_assert!(
@@ -125,8 +125,8 @@ impl Simulation {
             "live group must have at least m available blocks"
         );
         sources.sort_by(|&a, &z| {
-            self.recovery_busy_until(a)
-                .cmp(&self.recovery_busy_until(z))
+            self.recovery_busy_until(DiskId(a))
+                .cmp(&self.recovery_busy_until(DiskId(z)))
                 .then(a.cmp(&z))
         });
         sources.truncate(wanted);
@@ -149,15 +149,7 @@ impl Simulation {
                     // at the paper's 40% utilization; counted so tests
                     // can assert that).
                     self.metrics_mut().no_targets += 1;
-                    self.flight_record(b.group(), flight_kind::NO_TARGET, NO_DISK, b.idx());
-                    self.span_no_target(b);
-                    trace_ev!(
-                        self,
-                        "no_target",
-                        ",\"group\":{},\"idx\":{}",
-                        b.group(),
-                        b.idx()
-                    );
+                    self.record(TrialEvent::NoTarget { b: b.into() });
                     return;
                 }
             },
@@ -177,9 +169,12 @@ impl Simulation {
             let available = n - self.layout().missing_count(b.group()) as u32;
             let mut trips = 0u32;
             for &s in &sources {
-                if self.latent_read_trips(s, block_bytes) {
+                if self.latent_read_trips(DiskId(s), block_bytes) {
                     trips += 1;
-                    self.flight_record(b.group(), flight_kind::LATENT, s.0, b.idx());
+                    self.record(TrialEvent::LatentTrip {
+                        b: b.into(),
+                        source: s,
+                    });
                 }
             }
             if trips > 0 {
@@ -191,9 +186,10 @@ impl Simulation {
                     self.layout_mut().mark_dead(b.group());
                     self.gauge_group_died(b.group());
                     self.metrics_mut().record_loss(bytes, now);
-                    // The fatal latent trips were just recorded, so the
-                    // post-mortem chain ends with them.
-                    self.flight_postmortem(b.group(), "latent_read_error");
+                    self.record(TrialEvent::Loss {
+                        group: b.group(),
+                        cause: LossCause::LatentReadError,
+                    });
                     self.sources_scratch = sources;
                     return;
                 }
@@ -216,7 +212,7 @@ impl Simulation {
         if self.config().model_contention {
             start = std::cmp::max(start, self.recovery_busy_until(target));
             for &s in &sources {
-                start = std::cmp::max(start, self.recovery_busy_until(s));
+                start = std::cmp::max(start, self.recovery_busy_until(DiskId(s)));
             }
         }
         let wait_secs = (start - now).as_secs();
@@ -230,24 +226,22 @@ impl Simulation {
             .vulnerable_since(b)
             .map_or(0.0, |since| (now - since).as_secs());
         self.metrics_mut().detect_lag.record(lag);
-        self.flight_record(b.group(), flight_kind::REBUILD_START, target.0, b.idx());
-        trace_ev!(
-            self,
-            "rebuild_start",
-            ",\"group\":{},\"idx\":{},\"target\":{},\"wait\":{wait_secs:.3}",
-            b.group(),
-            b.idx(),
-            target.0
-        );
         let bw = self.recovery_bandwidth_at(start);
         let duration = Duration::from_secs(block_bytes as f64 / bw as f64);
         let done = start + duration;
         self.metrics_mut().transfer.record(duration.as_secs());
-        self.span_schedule(b, start, duration.as_secs(), target.0, &sources);
+        self.record(TrialEvent::RebuildStart {
+            b: b.into(),
+            target: target.0,
+            wait: wait_secs,
+            start: start.as_secs(),
+            duration: duration.as_secs(),
+            sources: &sources,
+        });
         if self.config().model_contention {
             self.set_recovery_busy(target, done);
             for &s in &sources {
-                self.set_recovery_busy(s, done);
+                self.set_recovery_busy(DiskId(s), done);
             }
         }
         self.schedule(done, Event::RebuildDone { block: b, epoch });

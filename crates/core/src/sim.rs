@@ -25,28 +25,13 @@ use farm_des::time::{Duration, SimTime};
 use farm_des::EventQueue;
 use farm_disk::health::SmartVerdict;
 use farm_disk::model::Disk;
-use farm_obs::flight::kind as flight_kind;
 use farm_obs::{
-    EventProfile, FlightRecorder, SpanRecorder, TimelineRecorder, TrialTracer, N_GAUGES,
+    EventProfile, LossCause, TimelineRecorder, TrialBlock, TrialEvent, TrialRecorder, N_GAUGES,
 };
 use farm_placement::{kernel, ClusterMap, DiskId, PreDraws, Rush, RushScratch};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Emit one trace record if (and only if) a tracer is attached.
-///
-/// The `format_args!` payload is only built behind the `is_some` check,
-/// so with tracing off (the default) each call site is a single
-/// null-test of the `tracer` box — nothing is formatted or allocated.
-macro_rules! trace_ev {
-    ($sim:expr, $ev:expr, $($fmt:tt)+) => {
-        if $sim.tracer.is_some() {
-            $sim.trace_slow($ev, format_args!($($fmt)+));
-        }
-    };
-}
-pub(crate) use trace_ev;
 
 /// Simulation events.
 #[derive(Clone, Copy, Debug)]
@@ -74,6 +59,16 @@ impl Event {
     }
 }
 
+impl From<BlockRef> for TrialBlock {
+    fn from(b: BlockRef) -> TrialBlock {
+        TrialBlock {
+            group: b.group(),
+            idx: b.idx(),
+            id: b.raw(),
+        }
+    }
+}
+
 /// Seed-stream labels (one namespace per concern keeps streams
 /// independent of construction order).
 mod streams {
@@ -83,11 +78,19 @@ mod streams {
     pub const LATENT: u64 = 4;
 }
 
+/// An attached cluster-state timeline: the recorder and the running
+/// aggregates its gauges are read from.
+struct TimelineSlot {
+    recorder: TimelineRecorder,
+    gauges: LiveGauges,
+}
+
 /// Incrementally-maintained cluster-state aggregates behind the
-/// timeline gauges. With the timeline off this is `None` and costs
-/// nothing; with it on, the event handlers pay a few adds per state
-/// change instead of `timeline_gauges`'s full disk + group scan per
-/// sample (the dominant telemetry-on cost at paper scale).
+/// timeline gauges. They live in the timeline slot, so with the
+/// timeline off they do not exist; with it on, the event handlers pay a
+/// few adds per state change instead of `timeline_gauges`'s full disk +
+/// group scan per sample (the dominant telemetry-on cost at paper
+/// scale).
 struct LiveGauges {
     /// Active (not failed) disks.
     active: u64,
@@ -136,8 +139,9 @@ pub struct Simulation {
     /// Reusable buffer for the blocks of a failed drive (`on_failure` /
     /// `on_detect` snapshot the reverse index before mutating it).
     blocks_scratch: Vec<BlockRef>,
-    /// Reusable buffer for rebuild-source selection.
-    pub(crate) sources_scratch: Vec<DiskId>,
+    /// Reusable buffer for rebuild-source selection (raw disk ids, so
+    /// the rebuild-start event can lend it to the recorder as is).
+    pub(crate) sources_scratch: Vec<u32>,
     /// Reusable buffer for the batched placement engine's prehashed
     /// attempt-0 draws (index-major, [`kernel::LANES`] lanes per row).
     place_hashes: Vec<u64>,
@@ -146,21 +150,14 @@ pub struct Simulation {
     /// Event-loop profiler (observability; `None` = off, the zero-cost
     /// default — the event loop only ever branches on the `Option`).
     profiler: Option<Box<EventProfile>>,
-    /// Structured trial tracer (observability; `None` = off).
-    pub(crate) tracer: Option<Box<TrialTracer>>,
-    /// Fixed-interval cluster-state gauge sampler (observability;
-    /// `None` = off — the plain event loop never even checks it).
-    timeline: Option<Box<TimelineRecorder>>,
-    /// Per-group flight recorder for data-loss post-mortems
-    /// (observability; `None` = off).
-    flight: Option<Box<FlightRecorder>>,
-    /// Recovery-lifecycle span recorder: one span per block repair with
-    /// phase attribution (observability; `None` = off — every hook is a
-    /// null test on this box).
-    spans: Option<Box<SpanRecorder>>,
-    /// Running aggregates for the timeline gauges (observability;
-    /// `None` = off, initialized when a timeline is attached).
-    gauges: Option<Box<LiveGauges>>,
+    /// Fixed-interval cluster-state gauge sampler and its running
+    /// aggregates (observability; `None` = off — the plain event loop
+    /// never even checks it).
+    timeline: Option<Box<TimelineSlot>>,
+    /// Consumers of the trial event stream: tracer, flight recorder,
+    /// span recorder (observability; `None` = off — every transition's
+    /// [`Simulation::record`] is one null test on this box).
+    recorder: Option<Box<TrialRecorder>>,
     /// RNG used only by ablation policies (random target choice).
     ablation_rng: farm_des::rng::RngStream,
     /// RNG for latent-sector-error sampling.
@@ -197,11 +194,8 @@ impl Simulation {
             place_hashes: Vec::new(),
             failed_since_batch: 0,
             profiler: None,
-            tracer: None,
             timeline: None,
-            flight: None,
-            spans: None,
-            gauges: None,
+            recorder: None,
             ablation_rng: seeds.stream(streams::ABLATION),
             latent_rng: seeds.stream(streams::LATENT),
             cfg: Arc::clone(&cfg),
@@ -262,11 +256,7 @@ impl Simulation {
              batches use disjoint id spaces)"
         );
         debug_assert!(
-            self.profiler.is_none()
-                && self.tracer.is_none()
-                && self.timeline.is_none()
-                && self.flight.is_none()
-                && self.spans.is_none(),
+            self.profiler.is_none() && self.timeline.is_none() && self.recorder.is_none(),
             "detach observability before recycling"
         );
         if !Arc::ptr_eq(&self.cfg, cfg) {
@@ -294,7 +284,6 @@ impl Simulation {
         // O(1) and walk output is independent of retained state (pinned
         // by farm-placement's golden-sequence test).
         self.failed_since_batch = 0;
-        self.gauges = None;
         self.now = SimTime::ZERO;
         self.horizon = SimTime::ZERO + self.cfg.sim_duration;
     }
@@ -329,7 +318,8 @@ impl Simulation {
             }
             None => SmartVerdict::disabled(),
         };
-        if let Some(g) = &mut self.gauges {
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            let g = &mut tl.gauges;
             g.active += 1;
             g.free += disk.free_bytes();
             g.capacity += disk.capacity;
@@ -688,15 +678,43 @@ impl Simulation {
         self.profiler.take()
     }
 
-    /// Attach a structured tracer: every failure/detect/redirect/rebuild
-    /// in this trial emits one JSONL record. Never changes results.
-    pub fn set_tracer(&mut self, tracer: TrialTracer) {
-        self.tracer = Some(Box::new(tracer));
+    /// Attach the consumers of the trial event stream (tracer, flight
+    /// recorder, span recorder): every state transition of the trial is
+    /// handed to it once, as a [`TrialEvent`]. Never changes results.
+    pub fn set_recorder(&mut self, rec: TrialRecorder) {
+        self.recorder = Some(Box::new(rec));
     }
 
-    /// Detach the tracer (flushes on drop).
-    pub fn take_tracer(&mut self) -> Option<Box<TrialTracer>> {
-        self.tracer.take()
+    /// Detach the recorder, closing any still-open spans as `truncated`
+    /// at the current instant (after a run, the horizon).
+    pub fn take_recorder(&mut self) -> Option<Box<TrialRecorder>> {
+        let now = self.now.as_secs();
+        let mut rec = self.recorder.take();
+        if let Some(r) = rec.as_deref_mut() {
+            r.finish(now);
+        }
+        rec
+    }
+
+    /// Report one state transition to the attached recorder. The hook
+    /// every handler calls; with no recorder (the default) it is a
+    /// single null test.
+    #[inline]
+    pub(crate) fn record(&mut self, ev: TrialEvent<'_>) {
+        if self.recorder.is_some() {
+            self.record_slow(ev);
+        }
+    }
+
+    /// Cold half of [`Simulation::record`], kept out of line so the
+    /// handlers' hot code stays compact.
+    #[cold]
+    #[inline(never)]
+    fn record_slow(&mut self, ev: TrialEvent<'_>) {
+        let t = self.now.as_secs();
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.record(t, &ev);
+        }
     }
 
     /// Attach a cluster-state timeline: gauges of failed disks,
@@ -704,22 +722,21 @@ impl Simulation {
     /// spare capacity are sampled at the recorder's fixed interval.
     /// Never changes results — samples are taken between events, not
     /// through the event queue.
-    pub fn set_timeline(&mut self, rec: TimelineRecorder) {
-        self.timeline = Some(Box::new(rec));
-        self.init_gauges();
+    pub fn set_timeline(&mut self, recorder: TimelineRecorder) {
+        let gauges = self.scan_gauges();
+        self.timeline = Some(Box::new(TimelineSlot { recorder, gauges }));
     }
 
-    /// Take the recorded timeline (complete after a run). Also drops the
-    /// live gauge aggregates — they only exist to serve the timeline.
-    pub fn take_timeline(&mut self) -> Option<Box<TimelineRecorder>> {
-        self.gauges = None;
-        self.timeline.take()
+    /// Take the recorded timeline (complete after a run), dropping the
+    /// live gauge aggregates that served it.
+    pub fn take_timeline(&mut self) -> Option<TimelineRecorder> {
+        self.timeline.take().map(|tl| tl.recorder)
     }
 
     /// Build the running gauge aggregates from one full scan of the
     /// current state — the last full scan; every later sample reads the
     /// incrementally-maintained counters instead.
-    fn init_gauges(&mut self) {
+    fn scan_gauges(&self) -> LiveGauges {
         let mut g = LiveGauges {
             active: 0,
             free: 0,
@@ -752,7 +769,13 @@ impl Simulation {
                 g.vulnerable_groups += 1;
             }
         }
-        self.gauges = Some(Box::new(g));
+        g
+    }
+
+    /// The live gauge aggregates, when a timeline is attached.
+    #[inline]
+    fn gauges(&mut self) -> Option<&mut LiveGauges> {
+        self.timeline.as_deref_mut().map(|tl| &mut tl.gauges)
     }
 
     // ----- live-gauge hooks (no-ops unless a timeline is attached) -------
@@ -761,7 +784,7 @@ impl Simulation {
     /// migration destination).
     #[inline]
     pub(crate) fn gauge_alloc(&mut self, bytes: u64) {
-        if let Some(g) = &mut self.gauges {
+        if let Some(g) = self.gauges() {
             g.free -= bytes;
         }
     }
@@ -770,7 +793,7 @@ impl Simulation {
     /// migration source).
     #[inline]
     pub(crate) fn gauge_release(&mut self, bytes: u64) {
-        if let Some(g) = &mut self.gauges {
+        if let Some(g) = self.gauges() {
             g.free += bytes;
         }
     }
@@ -779,7 +802,8 @@ impl Simulation {
     #[inline]
     fn gauge_disk_failed(&mut self, d: DiskId) {
         let di = d.0 as usize;
-        if let Some(g) = &mut self.gauges {
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            let g = &mut tl.gauges;
             let disk = &self.disks[di];
             g.active -= 1;
             g.free -= disk.free_bytes();
@@ -795,7 +819,7 @@ impl Simulation {
     /// the group's missing count after the mark.
     #[inline]
     fn gauge_block_missing(&mut self, new_group_count: u8) {
-        if let Some(g) = &mut self.gauges {
+        if let Some(g) = self.gauges() {
             g.rebuilds_in_flight += 1;
             // Branchless: the 0→1 missing transition is data-dependent
             // (unpredictable under load), so fold it into the add.
@@ -807,7 +831,7 @@ impl Simulation {
     /// missing count after the mark.
     #[inline]
     fn gauge_block_available(&mut self, remaining: u8) {
-        if let Some(g) = &mut self.gauges {
+        if let Some(g) = self.gauges() {
             g.rebuilds_in_flight -= 1;
             // Branchless mirror of `gauge_block_missing`.
             g.vulnerable_groups -= (remaining == 0) as u64;
@@ -819,209 +843,12 @@ impl Simulation {
     /// are excluded from both, matching the scan).
     #[inline]
     pub(crate) fn gauge_group_died(&mut self, group: u32) {
-        if self.gauges.is_some() {
-            let missing = self.layout.missing_count(group) as u64;
-            let g = self.gauges.as_deref_mut().expect("checked above");
-            g.rebuilds_in_flight -= missing;
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            let g = &mut tl.gauges;
+            g.rebuilds_in_flight -= self.layout.missing_count(group) as u64;
             // A group only dies on a missing-block transition, so it
             // necessarily counted as vulnerable.
             g.vulnerable_groups -= 1;
-        }
-    }
-
-    /// Attach a flight recorder: every group keeps a bounded ring of
-    /// recent failure/rebuild events, and a group dropping below `m`
-    /// emits a JSON post-mortem of the causal chain. Never changes
-    /// results.
-    pub fn set_flight(&mut self, rec: FlightRecorder) {
-        self.flight = Some(Box::new(rec));
-    }
-
-    /// Take the flight recorder (holds any emitted post-mortems).
-    pub fn take_flight(&mut self) -> Option<Box<FlightRecorder>> {
-        self.flight.take()
-    }
-
-    /// Cold half of the flight-recorder hook: a few stores into the
-    /// group's preallocated ring. Only called with a recorder attached
-    /// (call sites null-test first), so the handlers' hot code stays
-    /// compact.
-    #[cold]
-    #[inline(never)]
-    fn flight_slow(&mut self, group: u32, kind: u8, disk: u32, idx: u8) {
-        let t = self.now.as_secs();
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.record(group, t, kind, disk, idx);
-        }
-    }
-
-    /// Cold half of data-loss observability: closes the dying group's
-    /// open spans (obtaining the critical path of the fatal window) and
-    /// replays the group's flight ring into one JSON line. Record the
-    /// fatal event *before* calling this.
-    #[cold]
-    #[inline(never)]
-    fn flight_postmortem_slow(&mut self, group: u32, cause: &str) {
-        let t = self.now.as_secs();
-        let cp = self
-            .spans
-            .as_deref_mut()
-            .and_then(|s| s.on_group_loss(group, t, cause == "latent_read_error"));
-        if let Some(f) = self.flight.as_deref_mut() {
-            f.postmortem(group, t, cause, cp.as_ref());
-        }
-    }
-
-    /// Flight-recorder hook shared with the recovery module.
-    #[inline]
-    pub(crate) fn flight_record(&mut self, group: u32, kind: u8, disk: u32, idx: u8) {
-        if self.flight.is_some() {
-            self.flight_slow(group, kind, disk, idx);
-        }
-    }
-
-    /// Data-loss hook shared with the recovery module: span closure and
-    /// post-mortem emission (whichever recorders are attached).
-    #[inline]
-    pub(crate) fn flight_postmortem(&mut self, group: u32, cause: &str) {
-        if self.flight.is_some() || self.spans.is_some() {
-            self.flight_postmortem_slow(group, cause);
-        }
-    }
-
-    // ----- recovery-span hooks (no-ops unless a recorder is attached) ----
-
-    /// Attach a recovery-span recorder: every block repair becomes a
-    /// span with phase attribution (detect / queue / transfer), and
-    /// data-loss post-mortems gain a critical-path breakdown. Never
-    /// changes results.
-    pub fn set_spans(&mut self, rec: SpanRecorder) {
-        self.spans = Some(Box::new(rec));
-    }
-
-    /// Take the span recorder, closing any still-open spans as
-    /// `truncated` at the current instant (after a run, the horizon).
-    pub fn take_spans(&mut self) -> Option<Box<SpanRecorder>> {
-        let now = self.now.as_secs();
-        let mut rec = self.spans.take();
-        if let Some(s) = rec.as_deref_mut() {
-            s.finalize(now);
-        }
-        rec
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_fail_slow(&mut self, b: BlockRef, disk: u32) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_fail(b.group(), b.raw(), disk, t);
-        }
-    }
-
-    /// A failure just made `b` vulnerable: open its span.
-    #[inline]
-    fn span_fail(&mut self, b: BlockRef, disk: u32) {
-        if self.spans.is_some() {
-            self.span_fail_slow(b, disk);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_redirect_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_redirect(b.raw(), t);
-        }
-    }
-
-    /// A re-failure bumped `b`'s epoch: its span re-enters detection.
-    #[inline]
-    fn span_redirect(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_redirect_slow(b);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_done_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        let bytes = self.cfg.block_bytes;
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_done(b.raw(), t, bytes);
-        }
-    }
-
-    /// `b`'s rebuild completed: close its span.
-    #[inline]
-    fn span_done(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_done_slow(b);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_schedule_slow(
-        &mut self,
-        b: BlockRef,
-        start: SimTime,
-        duration: f64,
-        target: u32,
-        sources: &[DiskId],
-    ) {
-        let t = self.now.as_secs();
-        let bytes = self.cfg.block_bytes;
-        let ids: Vec<u32> = sources.iter().map(|d| d.0).collect();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_schedule(b.raw(), t, start.as_secs(), duration, target, &ids, bytes);
-        }
-    }
-
-    /// A rebuild for `b` was scheduled on `target`, starting at `start`
-    /// for `duration` seconds, reading from `sources` (recovery hook).
-    #[inline]
-    pub(crate) fn span_schedule(
-        &mut self,
-        b: BlockRef,
-        start: SimTime,
-        duration: f64,
-        target: u32,
-        sources: &[DiskId],
-    ) {
-        if self.spans.is_some() {
-            self.span_schedule_slow(b, start, duration, target, sources);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn span_no_target_slow(&mut self, b: BlockRef) {
-        let t = self.now.as_secs();
-        if let Some(s) = self.spans.as_deref_mut() {
-            s.on_no_target(b.raw(), t);
-        }
-    }
-
-    /// A Detect round found no spare capacity for `b` (recovery hook).
-    #[inline]
-    pub(crate) fn span_no_target(&mut self, b: BlockRef) {
-        if self.spans.is_some() {
-            self.span_no_target_slow(b);
-        }
-    }
-
-    /// Cold half of [`trace_ev!`]: formats and emits one trace record.
-    /// Only ever called with a tracer attached, so it can stay out of
-    /// line and keep the handlers' hot code compact.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn trace_slow(&mut self, ev: &str, extra: std::fmt::Arguments<'_>) {
-        let now = self.now;
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.emit(now.as_secs(), ev, extra);
         }
     }
 
@@ -1032,7 +859,8 @@ impl Simulation {
     pub(crate) fn set_recovery_busy(&mut self, d: DiskId, until: SimTime) {
         let di = d.0 as usize;
         self.recovery_busy[di] = until;
-        if let Some(g) = &mut self.gauges {
+        if let Some(tl) = self.timeline.as_deref_mut() {
+            let g = &mut tl.gauges;
             // One heap entry per busy pipe: push only on the idle→busy
             // transition. A surfacing entry is checked against the
             // authoritative `recovery_busy` value and re-armed if the
@@ -1081,7 +909,7 @@ impl Simulation {
         // The loop is monomorphized twice so that with profiling and the
         // timeline off (the default) the hot path carries no clock
         // reads, no `Option` plumbing — nothing beyond the dispatch
-        // itself. (The flight recorder hooks handlers, not the loop, so
+        // itself. (The event recorder hooks handlers, not the loop, so
         // it needs no loop variant of its own.)
         if self.profiler.is_some() || self.timeline.is_some() {
             self.run_loop_instrumented(stop_on_loss);
@@ -1128,15 +956,15 @@ impl Simulation {
         // per event touch. Rows are unchanged: `timeline_sample_to`
         // still records every due instant `s <= t` in order, and only
         // this loop advances the recorder, so the cache cannot go stale.
-        let mut next_due: Option<f64> = self.timeline.as_deref().and_then(|tl| tl.due());
+        let mut next_due: Option<f64> = self.timeline.as_deref().and_then(|tl| tl.recorder.due());
         while let Some((t, ev)) = self.queue.pop() {
             if t > self.horizon {
                 break;
             }
             if let Some(due) = next_due {
                 if due <= t.as_secs() {
-                    self.timeline_sample_to(t);
-                    next_due = self.timeline.as_deref().and_then(|tl| tl.due());
+                    self.timeline_sample_to(t.as_secs());
+                    next_due = self.timeline.as_deref().and_then(|tl| tl.recorder.due());
                 }
             }
             self.now = t;
@@ -1161,32 +989,21 @@ impl Simulation {
         // stop) record the final state, so every trial yields the same
         // row count — duration / interval — whatever its event history.
         if self.timeline.is_some() {
-            self.timeline_fill_remaining();
+            self.timeline_sample_to(f64::INFINITY);
         }
     }
 
-    /// Record every due timeline sample at or before `upto`.
+    /// Record every due timeline sample at or before `upto` (simulated
+    /// seconds; infinity records all remaining instants with the
+    /// current state).
     #[cold]
     #[inline(never)]
-    fn timeline_sample_to(&mut self, upto: SimTime) {
-        // Lift the recorder out so the gauge reads can borrow `self`.
+    fn timeline_sample_to(&mut self, upto: f64) {
+        // Lift the slot out so the gauge reads can borrow `self`.
         let mut tl = self.timeline.take().expect("caller checked is_some");
-        while let Some(s) = tl.due() {
-            if s > upto.as_secs() {
-                break;
-            }
-            tl.push(self.timeline_row(SimTime::from_secs(s)));
-        }
-        self.timeline = Some(tl);
-    }
-
-    /// Record all remaining sample instants with the current state.
-    #[cold]
-    #[inline(never)]
-    fn timeline_fill_remaining(&mut self) {
-        let mut tl = self.timeline.take().expect("caller checked is_some");
-        while let Some(s) = tl.due() {
-            tl.push(self.timeline_row(SimTime::from_secs(s)));
+        while let Some(s) = tl.recorder.due().filter(|&s| s <= upto) {
+            let row = self.timeline_row(&mut tl.gauges, SimTime::from_secs(s));
+            tl.recorder.push(row);
         }
         self.timeline = Some(tl);
     }
@@ -1201,62 +1018,53 @@ impl Simulation {
     /// Debug builds cross-check every row against the full scan
     /// ([`Simulation::timeline_gauges`]), which is what keeps the
     /// incremental bookkeeping honest across the whole test suite.
-    fn timeline_row(&mut self, at: SimTime) -> [f64; N_GAUGES] {
-        let row = match &mut self.gauges {
-            Some(g) => {
-                while let Some(&Reverse((until, d))) = g.expiries.peek() {
-                    if until > at {
-                        break;
-                    }
-                    g.expiries.pop();
-                    let di = d as usize;
-                    if g.pipe_busy[di] {
-                        let live = self.recovery_busy[di];
-                        if live > at {
-                            // Extended since the entry was pushed:
-                            // re-arm with the authoritative expiry
-                            // (strictly later, so the drain advances).
-                            g.expiries.push(Reverse((live, d)));
-                        } else {
-                            g.pipe_busy[di] = false;
-                            g.busy_pipes -= 1;
-                        }
-                    }
-                }
-                [
-                    self.failed_since_batch as f64,
-                    g.rebuilds_in_flight as f64,
-                    g.vulnerable_groups as f64,
-                    if g.active == 0 {
-                        0.0
-                    } else {
-                        g.busy_pipes as f64 / g.active as f64
-                    },
-                    if g.capacity == 0 {
-                        0.0
-                    } else {
-                        g.free as f64 / g.capacity as f64
-                    },
-                ]
+    fn timeline_row(&self, g: &mut LiveGauges, at: SimTime) -> [f64; N_GAUGES] {
+        while let Some(&Reverse((until, d))) = g.expiries.peek() {
+            if until > at {
+                break;
             }
-            None => self.timeline_gauges(at),
-        };
-        #[cfg(debug_assertions)]
-        if self.gauges.is_some() {
-            debug_assert_eq!(
-                row,
-                self.timeline_gauges(at),
-                "live gauges diverged from the reference scan at t={}",
-                at.as_secs()
-            );
+            g.expiries.pop();
+            let di = d as usize;
+            if g.pipe_busy[di] {
+                let live = self.recovery_busy[di];
+                if live > at {
+                    // Extended since the entry was pushed: re-arm with
+                    // the authoritative expiry (strictly later, so the
+                    // drain advances).
+                    g.expiries.push(Reverse((live, d)));
+                } else {
+                    g.pipe_busy[di] = false;
+                    g.busy_pipes -= 1;
+                }
+            }
         }
+        let row = [
+            self.failed_since_batch as f64,
+            g.rebuilds_in_flight as f64,
+            g.vulnerable_groups as f64,
+            if g.active == 0 {
+                0.0
+            } else {
+                g.busy_pipes as f64 / g.active as f64
+            },
+            if g.capacity == 0 {
+                0.0
+            } else {
+                g.free as f64 / g.capacity as f64
+            },
+        ];
+        debug_assert_eq!(
+            row,
+            self.timeline_gauges(at),
+            "live gauges diverged from the reference scan at t={}",
+            at.as_secs()
+        );
         row
     }
 
     /// Reference implementation of the gauge row: a full scan of all
     /// disks and all groups. Not used on the sampling path (the live
-    /// aggregates are); retained as the debug-build cross-check and the
-    /// one-scan initializer baseline.
+    /// aggregates are); retained as the debug-build cross-check.
     fn timeline_gauges(&self, at: SimTime) -> [f64; N_GAUGES] {
         let mut active = 0u64;
         let mut busy_pipes = 0u64;
@@ -1308,7 +1116,7 @@ impl Simulation {
         self.metrics.disk_failures += 1;
         self.gauge_disk_failed(d);
         self.disks[d.0 as usize].fail();
-        trace_ev!(self, "failure", ",\"disk\":{}", d.0);
+        self.record(TrialEvent::DiskFailed { disk: d.0 });
 
         // Classify every block homed here. The first failure of the
         // trial materializes the reverse index the bulk placement
@@ -1329,31 +1137,28 @@ impl Simulation {
                 // Detect(d) will pick a fresh target.
                 self.metrics.redirections += 1;
                 self.layout.bump_epoch(b);
-                self.flight_record(b.group(), flight_kind::REDIRECT, d.0, b.idx());
-                self.span_redirect(b);
-                trace_ev!(
-                    self,
-                    "redirect",
-                    ",\"group\":{},\"idx\":{}",
-                    b.group(),
-                    b.idx()
-                );
+                self.record(TrialEvent::Redirect {
+                    b: b.into(),
+                    disk: d.0,
+                });
             } else {
                 let missing = self.layout.mark_missing(b);
                 self.layout.set_vulnerable(b, self.now);
                 self.gauge_block_missing(missing);
-                self.flight_record(b.group(), flight_kind::FAILURE, d.0, b.idx());
-                self.span_fail(b, d.0);
+                self.record(TrialEvent::BlockFailed {
+                    b: b.into(),
+                    disk: d.0,
+                });
                 let available = self.cfg.scheme.n - missing as u32;
                 if available < self.cfg.scheme.m {
                     self.layout.mark_dead(b.group());
                     self.gauge_group_died(b.group());
                     self.metrics
                         .record_loss(self.cfg.group_user_bytes, self.now);
-                    // The fatal failure was just recorded, so the
-                    // post-mortem chain ends with it.
-                    self.flight_postmortem(b.group(), "disk_failure");
-                    trace_ev!(self, "loss", ",\"group\":{}", b.group());
+                    self.record(TrialEvent::Loss {
+                        group: b.group(),
+                        cause: LossCause::DiskFailure,
+                    });
                 }
             }
         }
@@ -1389,13 +1194,10 @@ impl Simulation {
             // failure launches (FARM declusters them; single-spare RAID
             // funnels the same count into one fresh drive).
             self.metrics.fanout.record(blocks.len() as f64);
-            trace_ev!(
-                self,
-                "detect",
-                ",\"disk\":{},\"rebuilds\":{}",
-                d.0,
-                blocks.len()
-            );
+            self.record(TrialEvent::Detect {
+                disk: d.0,
+                rebuilds: blocks.len(),
+            });
             let forced_target = match self.cfg.recovery {
                 RecoveryPolicy::Farm => None,
                 RecoveryPolicy::SingleSpare => {
@@ -1429,23 +1231,17 @@ impl Simulation {
         }
         self.layout.mark_available(b);
         self.gauge_block_available(self.layout.missing_count(b.group()));
-        self.span_done(b);
         self.metrics.rebuilds_completed += 1;
-        if self.flight.is_some() {
-            let home = self.layout.home(b);
-            self.flight_slow(b.group(), flight_kind::REBUILD_DONE, home.0, b.idx());
-        }
-        if let Some(since) = self.layout.take_vulnerable(b) {
+        let window = self.layout.take_vulnerable(b).map(|since| {
             let window = (self.now - since).as_secs();
             self.metrics.record_vulnerability(window);
-            trace_ev!(
-                self,
-                "rebuild_done",
-                ",\"group\":{},\"idx\":{},\"window\":{window:.3}",
-                b.group(),
-                b.idx()
-            );
-        }
+            window
+        });
+        self.record(TrialEvent::RebuildDone {
+            b: b.into(),
+            home: self.layout.home(b).0,
+            window,
+        });
     }
 
     /// Effective recovery bandwidth at an instant (constant unless the

@@ -97,26 +97,22 @@ impl ConvergenceSpec {
     /// * `"run.jsonl@100"` — first checkpoint at 100 trials,
     /// * `"@8"` — default path, denser early checkpoints.
     pub fn parse(s: &str) -> Result<ConvergenceSpec, String> {
-        let s = s.trim();
-        let (path, base) = match s.split_once('@') {
-            Some((p, b)) => {
+        let (path, base) = crate::sink::split_spec(s);
+        let base_trials = match base {
+            Some(b) => {
                 let trials = b
                     .parse::<u64>()
                     .map_err(|e| format!("base trials {b:?}: {e}"))?;
                 if trials == 0 {
                     return Err(format!("base trials must be >= 1, got {b:?}"));
                 }
-                (p, Some(trials))
+                Some(trials)
             }
-            None => (s, None),
-        };
-        let path = match path {
-            "" | "1" => DEFAULT_CONVERGENCE_PATH.to_string(),
-            p => p.to_string(),
+            None => None,
         };
         Ok(ConvergenceSpec {
-            path,
-            base_trials: base,
+            path: path.unwrap_or(DEFAULT_CONVERGENCE_PATH).to_string(),
+            base_trials,
         })
     }
 

@@ -121,18 +121,10 @@ impl FlightRecorder {
              \"dropped\":{dropped},\"chain\":[",
             self.trial,
         );
-        let mut first = true;
-        // Split borrow: chain() reads ring/written, the line is local.
-        let g = group as usize;
-        let written = self.written[g] as usize;
-        let kept = written.min(RING);
-        let ring = &self.ring[g * RING..(g + 1) * RING];
-        for i in 0..kept {
-            let ev = &ring[(written - kept + i) % RING];
-            if !first {
+        for (i, ev) in self.chain(group).enumerate() {
+            if i > 0 {
                 line.push(',');
             }
-            first = false;
             let _ = write!(
                 line,
                 "{{\"t_secs\":{},\"ev\":\"{}\",\"disk\":",

@@ -6,8 +6,13 @@
 //!
 //! * [`profile::EventProfile`] — per-event-type counts and wall time in
 //!   the discrete-event loop, plus queue-depth sampling,
+//! * [`recorder::TrialRecorder`] — the trial event stream: the simulator
+//!   reports each state transition once, as a typed
+//!   [`recorder::TrialEvent`], and the recorder hands it to whichever of
+//!   the tracer, the flight recorder and the span recorder are on,
 //! * [`trace::TrialTracer`] — a structured JSONL trace of one sampled
-//!   trial (failures, detections, redirections, rebuilds, losses),
+//!   trial, or of every data-losing trial (failures, detections,
+//!   redirections, rebuilds, losses),
 //! * [`progress::Progress`] — rate-limited stderr progress for
 //!   Monte-Carlo batches (trials done, trials/sec, ETA, losses),
 //! * [`diag`] — a process-wide diagnostics sink with once-per-process
@@ -48,7 +53,8 @@
 //!
 //! **Overhead contract:** everything here is *off by default*, and the
 //! disabled path inside the trial event loop is a branch on an
-//! `Option`/`bool` — no allocation, no atomics, no syscalls. Whether
+//! `Option`/`bool` — one per state transition for the whole event
+//! stream — with no allocation, no atomics, no syscalls. Whether
 //! observability is on or off never changes simulation results (pinned
 //! by the golden-metrics determinism test in `tests/observability.rs`).
 
@@ -59,6 +65,7 @@ pub mod flight;
 pub mod http;
 pub mod profile;
 pub mod progress;
+pub mod recorder;
 pub mod registry;
 pub mod rss;
 pub mod sink;
@@ -75,6 +82,7 @@ pub use fleet::{
 pub use flight::FlightRecorder;
 pub use profile::EventProfile;
 pub use progress::Progress;
+pub use recorder::{LossCause, TrialBlock, TrialEvent, TrialRecorder};
 pub use registry::{BatchHandle, BatchTotals, CampaignMonitor, SpanPhases, WorkerShard};
 pub use sink::open_batch_file;
 pub use spans::{CriticalPath, SpanFormat, SpanRecorder, SpansSpec, TrialSpans};
@@ -145,10 +153,9 @@ impl ObsOptions {
         self.status.is_some() || self.http.is_some()
     }
 
-    /// Read the `FARM_PROGRESS`, `FARM_PROFILE`, `FARM_TRACE`,
-    /// `FARM_TIMELINE` and `FARM_POSTMORTEM` environment variables.
-    /// Unset variables leave the default (progress auto-detects a
-    /// terminal; everything else off).
+    /// Read the `FARM_*` observability variables listed on
+    /// [`ObsOptions`]. Unset variables leave the default (progress
+    /// auto-detects a terminal; everything else off).
     pub fn from_env() -> Self {
         let mut o = ObsOptions::default();
         if let Ok(v) = std::env::var("FARM_PROGRESS") {
@@ -157,83 +164,21 @@ impl ObsOptions {
         if let Ok(v) = std::env::var("FARM_PROFILE") {
             o.profile = env_truthy(&v);
         }
-        if let Ok(v) = std::env::var("FARM_TRACE") {
-            match TraceSpec::parse(&v) {
-                Ok(spec) => o.trace = Some(spec),
-                Err(e) => {
-                    diag::warn_once("FARM_TRACE", &format!("ignoring FARM_TRACE={v:?}: {e}"));
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_TIMELINE") {
-            if env_truthy(&v) {
-                match TimelineSpec::parse(&v) {
-                    Ok(spec) => o.timeline = Some(spec),
-                    Err(e) => {
-                        diag::warn_once(
-                            "FARM_TIMELINE",
-                            &format!("ignoring FARM_TIMELINE={v:?}: {e}"),
-                        );
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_POSTMORTEM") {
-            if env_truthy(&v) {
-                o.postmortem = Some(v);
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_STATUS") {
-            if env_truthy(&v) {
-                match StatusSpec::parse(&v) {
-                    Ok(spec) => o.status = Some(spec),
-                    Err(e) => {
-                        diag::warn_once("FARM_STATUS", &format!("ignoring FARM_STATUS={v:?}: {e}"));
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_HTTP") {
-            if env_truthy(&v) {
-                o.http = Some(v.trim().to_string());
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_CONVERGENCE") {
-            if env_truthy(&v) {
-                match ConvergenceSpec::parse(&v) {
-                    Ok(spec) => o.convergence = Some(spec),
-                    Err(e) => {
-                        diag::warn_once(
-                            "FARM_CONVERGENCE",
-                            &format!("ignoring FARM_CONVERGENCE={v:?}: {e}"),
-                        );
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_SPANS") {
-            if env_truthy(&v) {
-                match SpansSpec::parse(&v) {
-                    Ok(spec) => o.spans = Some(spec),
-                    Err(e) => {
-                        diag::warn_once("FARM_SPANS", &format!("ignoring FARM_SPANS={v:?}: {e}"));
-                    }
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("FARM_TARGET_REL_CI") {
+        // `FARM_TRACE=0` names trial 0, so only the other specs treat a
+        // falsy value as "off".
+        o.trace = env_spec("FARM_TRACE", false, TraceSpec::parse);
+        o.timeline = env_spec("FARM_TIMELINE", true, TimelineSpec::parse);
+        o.postmortem = env_spec("FARM_POSTMORTEM", true, |v| Ok(v.to_string()));
+        o.status = env_spec("FARM_STATUS", true, StatusSpec::parse);
+        o.http = env_spec("FARM_HTTP", true, |v| Ok(v.trim().to_string()));
+        o.convergence = env_spec("FARM_CONVERGENCE", true, ConvergenceSpec::parse);
+        o.spans = env_spec("FARM_SPANS", true, SpansSpec::parse);
+        o.target_rel_ci = env_spec("FARM_TARGET_REL_CI", false, |v| {
             match v.trim().parse::<f64>() {
-                Ok(eps) if eps > 0.0 && eps.is_finite() => o.target_rel_ci = Some(eps),
-                _ => {
-                    diag::warn_once(
-                        "FARM_TARGET_REL_CI",
-                        &format!(
-                            "ignoring FARM_TARGET_REL_CI={v:?}: expected a positive finite number"
-                        ),
-                    );
-                }
+                Ok(eps) if eps > 0.0 && eps.is_finite() => Ok(eps),
+                _ => Err("expected a positive finite number".into()),
             }
-        }
+        });
         o
     }
 
@@ -247,6 +192,27 @@ impl ObsOptions {
 
 fn env_truthy(v: &str) -> bool {
     !matches!(v.trim(), "" | "0" | "false" | "off" | "no")
+}
+
+/// Parse environment variable `name` with `parse`. Unset — or falsy,
+/// when `falsy_is_off` — leaves the option off; a value that does not
+/// parse is ignored with a once-per-process warning.
+fn env_spec<T>(
+    name: &str,
+    falsy_is_off: bool,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
+    let v = std::env::var(name).ok()?;
+    if falsy_is_off && !env_truthy(&v) {
+        return None;
+    }
+    match parse(&v) {
+        Ok(spec) => Some(spec),
+        Err(e) => {
+            diag::warn_once(name, &format!("ignoring {name}={v:?}: {e}"));
+            None
+        }
+    }
 }
 
 static GLOBAL: OnceLock<ObsOptions> = OnceLock::new();

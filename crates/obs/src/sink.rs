@@ -9,6 +9,9 @@
 //! accumulates the whole process's batches. The open index is returned
 //! so callers can stamp rows with a batch id and write headers only on
 //! the fresh open.
+//!
+//! The artifact specs share one grammar, `path[@param]`, split by
+//! [`split_spec`].
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -18,6 +21,23 @@ use std::sync::{Mutex, OnceLock};
 fn registry() -> &'static Mutex<BTreeMap<String, u64>> {
     static OPENED: OnceLock<Mutex<BTreeMap<String, u64>>> = OnceLock::new();
     OPENED.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
+
+/// Split a `path[@param]` artifact spec at its first `@`, after
+/// trimming. An empty or `"1"` path (a bare flag, `FARM_X=1`) comes back
+/// as `None`: the spec's default path. The parameter is returned as is;
+/// each spec validates its own.
+pub fn split_spec(s: &str) -> (Option<&str>, Option<&str>) {
+    let s = s.trim();
+    let (path, param) = match s.split_once('@') {
+        Some((p, q)) => (p, Some(q)),
+        None => (s, None),
+    };
+    let path = match path {
+        "" | "1" => None,
+        p => Some(p),
+    };
+    (path, param)
 }
 
 /// Open `path` for batch-artifact output. Returns `(file, fresh, batch)`

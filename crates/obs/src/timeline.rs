@@ -50,6 +50,18 @@ pub struct TimelineSpec {
 /// Default output path for a bare `--timeline` / `FARM_TIMELINE=1`.
 pub const DEFAULT_TIMELINE_PATH: &str = "farm-timeline.csv";
 
+/// Most rows one trial's timeline may hold. A batch whose interval would
+/// need more runs without a timeline (with a warning) instead of
+/// reserving memory it cannot have.
+pub const MAX_ROWS: u64 = 1 << 20;
+
+/// Rows a trial of `duration_secs` yields at `interval_secs`: exactly
+/// `floor(duration / interval)` (the epsilon forgives `duration / 128.0`
+/// round-trip error in the auto interval).
+fn n_samples(interval_secs: f64, duration_secs: f64) -> u64 {
+    (duration_secs / interval_secs + 1e-9).floor() as u64
+}
+
 impl TimelineSpec {
     /// Parse a `FARM_TIMELINE` / `--timeline` spec:
     ///
@@ -59,32 +71,33 @@ impl TimelineSpec {
     /// * `"out.csv@604800"` — sample every 604800 simulated seconds,
     /// * `"@3600"` — default path, hourly samples.
     pub fn parse(s: &str) -> Result<TimelineSpec, String> {
-        let s = s.trim();
-        let (path, interval) = match s.split_once('@') {
-            Some((p, i)) => {
+        let (path, interval) = crate::sink::split_spec(s);
+        let interval_secs = match interval {
+            Some(i) => {
                 let secs = i
                     .parse::<f64>()
                     .map_err(|e| format!("interval {i:?}: {e}"))?;
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err(format!("interval must be positive, got {i:?}"));
                 }
-                (p, Some(secs))
+                Some(secs)
             }
-            None => (s, None),
-        };
-        let path = match path {
-            "" | "1" => DEFAULT_TIMELINE_PATH.to_string(),
-            p => p.to_string(),
+            None => None,
         };
         Ok(TimelineSpec {
-            path,
-            interval_secs: interval,
+            path: path.unwrap_or(DEFAULT_TIMELINE_PATH).to_string(),
+            interval_secs,
         })
     }
 
     /// The effective sample interval for a horizon of `duration_secs`.
     pub fn resolve_interval(&self, duration_secs: f64) -> f64 {
         self.interval_secs.unwrap_or(duration_secs / 128.0)
+    }
+
+    /// Rows per trial for a horizon of `duration_secs`.
+    pub fn rows(&self, duration_secs: f64) -> u64 {
+        n_samples(self.resolve_interval(duration_secs), duration_secs)
     }
 
     /// JSONL output (by extension)?
@@ -104,11 +117,14 @@ pub struct TimelineRecorder {
 impl TimelineRecorder {
     /// A recorder for a horizon of `duration_secs`, sampling every
     /// `interval_secs`. Exactly `floor(duration / interval)` rows will
-    /// be recorded (the epsilon forgives `duration / 128.0` round-trip
-    /// error in the auto interval).
+    /// be recorded; at most [`MAX_ROWS`].
     pub fn new(interval_secs: f64, duration_secs: f64) -> Self {
         assert!(interval_secs > 0.0, "sample interval must be positive");
-        let n_samples = (duration_secs / interval_secs + 1e-9).floor() as u64;
+        let n_samples = n_samples(interval_secs, duration_secs);
+        assert!(
+            n_samples <= MAX_ROWS,
+            "{n_samples} timeline rows per trial exceed the cap of {MAX_ROWS}"
+        );
         TimelineRecorder {
             interval_secs,
             n_samples,

@@ -4,18 +4,19 @@
 //! loop with a machine-readable narrative.
 //!
 //! Records are one JSON object per line, always carrying `trial`, `t`
-//! (simulated seconds) and `ev`; event-specific fields follow. The
-//! writer is buffered and owned by the trial being traced, so untraced
-//! trials pay nothing.
+//! (simulated seconds) and `ev`; event-specific fields follow (rendered
+//! from the trial event stream by [`crate::recorder::TrialRecorder`]).
+//! The buffer is owned by the trial being traced, so untraced trials
+//! pay nothing.
 //!
-//! Two selection modes: `FARM_TRACE=7` traces the one trial you name;
-//! `FARM_TRACE=loss` traces *every* trial into an in-memory buffer and
-//! flushes only the trials that actually lose data — no guessing a
-//! trial index up front when hunting a loss.
+//! Two selection modes: `FARM_TRACE=7` traces the one trial you name in
+//! every batch; `FARM_TRACE=loss` traces *every* trial into memory and
+//! keeps only the trials that actually lose data — no guessing a trial
+//! index up front when hunting a loss. Either way the batch appends its
+//! selected traces, in trial order, to the output.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::Write;
 
 /// Which trials to trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +25,17 @@ pub enum TraceSel {
     Trial(u64),
     /// Trace every trial into memory; keep only trials that lose data.
     Loss,
+}
+
+impl TraceSel {
+    /// Is trial `trial` traced? (In loss mode every trial is, and the
+    /// batch driver keeps only the losing ones.)
+    pub fn selects(self, trial: u64) -> bool {
+        match self {
+            TraceSel::Trial(t) => t == trial,
+            TraceSel::Loss => true,
+        }
+    }
 }
 
 impl Default for TraceSel {
@@ -93,115 +105,40 @@ fn parse_sel(s: &str) -> Result<TraceSel, String> {
         .map_err(|e| format!("trial selector {s:?} (want an index or \"loss\"): {e}"))
 }
 
-enum Sink {
-    Stderr(io::Stderr),
-    File(BufWriter<File>),
-    /// In-memory buffer for `FARM_TRACE=loss`: the batch runner takes
-    /// the bytes afterwards and flushes them only if the trial lost.
-    Buffer(Vec<u8>),
-}
-
-impl Write for Sink {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sink::Stderr(s) => s.write(buf),
-            Sink::File(f) => f.write(buf),
-            Sink::Buffer(b) => b.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Sink::Stderr(s) => s.flush(),
-            Sink::File(f) => f.flush(),
-            Sink::Buffer(_) => Ok(()),
-        }
-    }
-}
-
-/// The per-trial trace writer handed to one simulation.
+/// One trial's trace, rendered into memory as JSONL. The batch driver
+/// takes the bytes after the trial and writes the selected trials'
+/// traces in trial order, through the same append-per-batch file rule
+/// as every other artifact ([`crate::sink::open_batch_file`]).
+#[derive(Debug)]
 pub struct TrialTracer {
     trial: u64,
-    sink: Sink,
-    records: u64,
+    buf: Vec<u8>,
 }
 
 impl TrialTracer {
-    /// Open the spec's sink for trial `trial`.
-    pub fn open(spec: &TraceSpec, trial: u64) -> io::Result<TrialTracer> {
-        let sink = match &spec.path {
-            None => Sink::Stderr(io::stderr()),
-            Some(p) => Sink::File(BufWriter::new(File::create(p)?)),
-        };
-        Ok(TrialTracer {
-            trial,
-            sink,
-            records: 0,
-        })
-    }
-
-    /// A tracer accumulating into memory (for `FARM_TRACE=loss`): take
-    /// the bytes with [`TrialTracer::take_buffer`] after the trial.
-    pub fn buffered(trial: u64) -> TrialTracer {
+    /// An empty trace of trial `trial`.
+    pub fn new(trial: u64) -> TrialTracer {
         TrialTracer {
             trial,
-            sink: Sink::Buffer(Vec::new()),
-            records: 0,
+            buf: Vec::new(),
         }
-    }
-
-    /// File-backed tracer for unit tests of the record format.
-    pub fn to_path(trial: u64, path: &str) -> io::Result<TrialTracer> {
-        Self::open(
-            &TraceSpec {
-                sel: TraceSel::Trial(trial),
-                path: Some(path.to_string()),
-            },
-            trial,
-        )
-    }
-
-    pub fn trial(&self) -> u64 {
-        self.trial
-    }
-
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Emit one record. `extra` is a pre-formatted JSON fragment of
     /// event-specific fields, either empty or starting with a comma
-    /// (e.g. `,"disk":17`); building it with `format_args!` costs
-    /// nothing at disabled call sites.
+    /// (e.g. `,"disk":17`).
     pub fn emit(&mut self, t_secs: f64, ev: &str, extra: fmt::Arguments<'_>) {
-        self.records += 1;
-        // A trace write failing (closed pipe, full disk) must not abort
-        // the simulation; drop the record.
+        // Writing into a Vec cannot fail.
         let _ = writeln!(
-            self.sink,
+            self.buf,
             "{{\"trial\":{},\"t\":{:.3},\"ev\":\"{}\"{}}}",
             self.trial, t_secs, ev, extra
         );
     }
 
-    /// For a [`TrialTracer::buffered`] tracer, take the accumulated
-    /// JSONL bytes (leaving it empty); `None` for other sinks.
-    pub fn take_buffer(&mut self) -> Option<Vec<u8>> {
-        match &mut self.sink {
-            Sink::Buffer(b) => Some(std::mem::take(b)),
-            _ => None,
-        }
-    }
-
-    /// Flush buffered records (also happens on drop).
-    pub fn flush(&mut self) {
-        let _ = self.sink.flush();
-    }
-}
-
-impl Drop for TrialTracer {
-    fn drop(&mut self) {
-        self.flush();
+    /// Take the accumulated JSONL bytes, leaving the trace empty.
+    pub fn take_buffer(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
     }
 }
 
@@ -253,18 +190,11 @@ mod tests {
 
     #[test]
     fn records_are_one_json_object_per_line() {
-        let path =
-            std::env::temp_dir().join(format!("farm-trace-test-{}.jsonl", std::process::id()));
-        let path_s = path.to_str().unwrap();
-        {
-            let mut t = TrialTracer::to_path(5, path_s).unwrap();
-            t.emit(0.0, "failure", format_args!(",\"disk\":17"));
-            t.emit(30.0, "detect", format_args!(",\"disk\":17,\"blocks\":3"));
-            t.emit(94.5, "rebuild_done", format_args!(""));
-            assert_eq!(t.records(), 3);
-        }
-        let body = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let mut t = TrialTracer::new(5);
+        t.emit(0.0, "failure", format_args!(",\"disk\":17"));
+        t.emit(30.0, "detect", format_args!(",\"disk\":17,\"blocks\":3"));
+        t.emit(94.5, "rebuild_done", format_args!(""));
+        let body = String::from_utf8(t.take_buffer()).unwrap();
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(
@@ -282,17 +212,16 @@ mod tests {
 
     #[test]
     fn buffered_tracer_accumulates_and_yields_bytes() {
-        let mut t = TrialTracer::buffered(9);
+        let mut t = TrialTracer::new(9);
         t.emit(1.0, "failure", format_args!(",\"disk\":3"));
         t.emit(2.0, "loss", format_args!(""));
-        let bytes = t.take_buffer().expect("buffered sink");
-        let body = String::from_utf8(bytes).unwrap();
+        let body = String::from_utf8(t.take_buffer()).unwrap();
         assert_eq!(
             body,
             "{\"trial\":9,\"t\":1.000,\"ev\":\"failure\",\"disk\":3}\n\
              {\"trial\":9,\"t\":2.000,\"ev\":\"loss\"}\n"
         );
-        // Taking leaves the buffer empty, and non-buffer sinks say None.
-        assert_eq!(t.take_buffer().unwrap(), Vec::<u8>::new());
+        // Taking leaves the buffer empty.
+        assert!(t.take_buffer().is_empty());
     }
 }

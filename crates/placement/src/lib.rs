@@ -11,8 +11,7 @@
 //! * [`ClusterMap`] — the system topology as an ordered list of weighted
 //!   sub-clusters (how large systems actually grow, one batch at a time),
 //! * [`Rush`] — the placement function: deterministic, balanced,
-//!   minimally-migrating on growth, with distinct candidates per group,
-//! * [`Hrw`] — a weighted rendezvous-hashing baseline used in tests.
+//!   minimally-migrating on growth, with distinct candidates per group.
 //!
 //! ```
 //! use farm_placement::{ClusterMap, Rush};
@@ -36,10 +35,8 @@
 
 pub mod cluster;
 pub mod hash;
-pub mod hrw;
 pub mod kernel;
 pub mod rush;
 
 pub use cluster::{ClusterMap, DiskId, SubCluster};
-pub use hrw::{Hrw, HrwScratch};
 pub use rush::{Candidates, PreDraws, Rush, RushScratch, Walk};

@@ -1,5 +1,5 @@
 //! Cluster-state telemetry contracts: timeline shape and determinism,
-//! post-mortem causal chains, and loss-only tracing.
+//! post-mortem causal chains, and trial tracing (sampled and loss-only).
 //!
 //! Everything here rides on the observability invariant pinned by
 //! `tests/observability.rs` — telemetry never changes results — and
@@ -9,7 +9,10 @@
 
 use farm_core::prelude::*;
 use farm_disk::latent::LatentConfig;
-use farm_obs::{ObsOptions, TimelineSpec, TraceSel, TraceSpec, GAUGES, N_GAUGES};
+use farm_obs::{
+    Json, ObsOptions, SpanFormat, SpansSpec, TimelineSpec, TraceSel, TraceSpec, GAUGES, N_GAUGES,
+};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn tiny() -> SystemConfig {
     SystemConfig {
@@ -290,4 +293,126 @@ fn full_telemetry_never_changes_the_lossy_summary() {
     );
     assert_eq!(base.queue_delay.to_compact(), full.queue_delay.to_compact());
     assert_eq!(base.fanout.to_compact(), full.fanout.to_compact());
+}
+
+#[test]
+fn sampled_trial_trace_appends_every_batch_in_order() {
+    // A process runs many batches against one trace path: like every
+    // other artifact, the first batch truncates and later ones append,
+    // so the file holds each batch's sampled trial in batch order.
+    let cfg = tiny();
+    let path = tmp_path("sampled.jsonl");
+    let obs = ObsOptions {
+        trace: Some(TraceSpec {
+            sel: TraceSel::Trial(0),
+            path: Some(path.clone()),
+        }),
+        ..ObsOptions::off()
+    };
+    let horizon = cfg.sim_duration().as_secs();
+    let mut expected = Vec::new();
+    for seed in [3, 4] {
+        run_trials_observed(&cfg, seed, 2, TrialMode::Full, 1, &obs);
+        let m = run_trial(&cfg, seed, 0, TrialMode::Full);
+        expected.push(format!(
+            "{{\"trial\":0,\"t\":{horizon:.3},\"ev\":\"trial_end\",\"failures\":{},\
+             \"rebuilds\":{},\"redirections\":{},\"lost_groups\":{}}}",
+            m.disk_failures, m.rebuilds_completed, m.redirections, m.lost_groups
+        ));
+    }
+    let body = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    assert_ne!(expected[0], expected[1], "the batches must be told apart");
+    let ends: Vec<&str> = body
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"trial_end\""))
+        .collect();
+    assert_eq!(ends, expected);
+}
+
+#[test]
+fn every_loss_is_traced_post_mortemed_and_span_closed() {
+    // Both loss causes — disk failure and latent read error — emit one
+    // `loss` trace record, one post-mortem and loss-outcome spans for
+    // the dying group, so per trial the three counts agree.
+    let cfg = lossy();
+    let (tr, pm, sp) = (
+        tmp_path("all-loss-tr.jsonl"),
+        tmp_path("all-loss-pm.jsonl"),
+        tmp_path("all-loss-sp.jsonl"),
+    );
+    let obs = ObsOptions {
+        trace: Some(TraceSpec {
+            sel: TraceSel::Loss,
+            path: Some(tr.clone()),
+        }),
+        postmortem: Some(pm.clone()),
+        spans: Some(SpansSpec {
+            path: sp.clone(),
+            format: SpanFormat::Jsonl,
+        }),
+        ..ObsOptions::off()
+    };
+    let (summary, _) = run_trials_observed(&cfg, 42, 8, TrialMode::Full, 2, &obs);
+    let read = |p: &str| {
+        let s = std::fs::read_to_string(p).expect("artifact written");
+        std::fs::remove_file(p).ok();
+        s
+    };
+    let (tr, pm, sp) = (read(&tr), read(&pm), read(&sp));
+    assert!(summary.p_loss.successes > 0, "lossy config must lose data");
+    assert!(
+        pm.contains("\"cause\":\"latent_read_error\""),
+        "the latent loss path must be exercised"
+    );
+
+    let num = |row: &Json, k: &str| row.get(k).and_then(Json::as_f64).expect(k) as u64;
+    let mut traced: BTreeMap<u64, u64> = BTreeMap::new();
+    for line in tr.lines().filter(|l| l.contains("\"ev\":\"loss\"")) {
+        let row = Json::parse(line).expect("trace record parses");
+        *traced.entry(num(&row, "trial")).or_default() += 1;
+    }
+    let mut post_mortems: BTreeMap<u64, u64> = BTreeMap::new();
+    for line in pm.lines() {
+        let row = Json::parse(line).expect("post-mortem parses");
+        *post_mortems.entry(num(&row, "trial")).or_default() += 1;
+    }
+    let mut lost_groups: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for line in sp.lines() {
+        let row = Json::parse(line).expect("span row parses");
+        let outcome = row.get("outcome").and_then(Json::as_str).unwrap_or("");
+        if outcome.starts_with("loss_") {
+            lost_groups
+                .entry(num(&row, "trial"))
+                .or_default()
+                .insert(num(&row, "group"));
+        }
+    }
+    let span_losses: BTreeMap<u64, u64> = lost_groups
+        .into_iter()
+        .map(|(t, g)| (t, g.len() as u64))
+        .collect();
+    assert!(!traced.is_empty());
+    assert_eq!(traced, post_mortems, "loss trace records vs post-mortems");
+    assert_eq!(
+        traced, span_losses,
+        "loss trace records vs lost span groups"
+    );
+}
+
+#[test]
+fn too_fine_a_timeline_is_dropped_for_the_batch() {
+    // An interval asking for more rows than a trial may hold must not
+    // abort on allocation: the batch runs without a timeline, with
+    // results identical to the telemetry-off run.
+    let cfg = tiny();
+    let path = tmp_path("too-fine.csv");
+    let obs = obs_with_timeline(&path, Some(1e-9));
+    let (base, _) = run_trials_observed(&cfg, 9, 4, TrialMode::Full, 1, &ObsOptions::off());
+    let (fine, _) = run_trials_observed(&cfg, 9, 4, TrialMode::Full, 1, &obs);
+    assert_eq!(base.to_compact(), fine.to_compact());
+    assert!(
+        !std::path::Path::new(&path).exists(),
+        "no timeline is written"
+    );
 }
