@@ -2,7 +2,7 @@
 //!
 //! * default — coordinator: shard the campaign's reduction chunks
 //!   across N worker processes (this same binary in `--worker` mode),
-//!   poll their `/status`, merge telemetry into
+//!   read each worker's status file, merge telemetry into
 //!   `<dir>/fleet-status.json` (+ optional aggregated exporter and a
 //!   live stderr dashboard), checkpoint/resume per range, and fold the
 //!   per-chunk summaries into the campaign aggregate — bit-identical
@@ -11,13 +11,22 @@
 //!   its `farm-worker-result-v1` checkpoint.
 //! * `--single` — the single-process reference run, summary written
 //!   next to the fleet one for a byte-for-byte diff.
+//!
+//! `--quick`/`--full`/`--trials`/`--seed`/`--threads` go to the shared
+//! [`Options::parse`]; `--scale` is applied after it, so it wins over a
+//! mode flag in any order.
 use farm_experiments::cli::Options;
 use farm_experiments::fleet;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: fleet [--single | --worker --range LO:HI] \
      [--workers N] [--fleet DIR] [--http ADDR] [--dashboard|--no-dashboard] \
-     [--no-worker-http] [--quick|--full] [--trials N] [--seed S] [--threads T] [--scale X]";
+     [--quick|--full] [--trials N] [--seed S] [--threads T] [--scale X]";
+
+/// Fleet directory when `--fleet` is absent.
+const DEFAULT_DIR: &str = "farm-fleet";
+/// Worker-process count when `--workers` is absent.
+const DEFAULT_WORKERS: usize = 2;
 
 enum Mode {
     Coordinator,
@@ -36,19 +45,16 @@ fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
 }
 
 fn main() {
-    let mut opts = Options::quick_default();
-    // A fleet worker should not eat every core by default: the fleet's
-    // parallelism is its worker processes. `--threads` overrides.
-    opts.threads = 1;
     let mut mode = Mode::Coordinator;
     let mut worker = false;
     let mut range: Option<(u64, u64)> = None;
-    let mut workers = farm_obs::fleet_workers_from_env();
-    let mut dir =
-        farm_obs::fleet_dir_from_env().unwrap_or_else(|| farm_obs::DEFAULT_FLEET_DIR.to_string());
+    let mut workers = DEFAULT_WORKERS;
+    let mut dir = DEFAULT_DIR.to_string();
     let mut http: Option<String> = None;
     let mut dashboard: Option<bool> = None;
-    let mut http_workers = true;
+    let mut scale: Option<f64> = None;
+    // The campaign flags, forwarded to `Options::parse`.
+    let mut campaign: Vec<String> = Vec::new();
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -76,42 +82,19 @@ fn main() {
             "--http" => http = Some(value(&mut it, "--http")),
             "--dashboard" => dashboard = Some(true),
             "--no-dashboard" => dashboard = Some(false),
-            "--no-worker-http" => http_workers = false,
-            "--quick" => {
-                let threads = opts.threads;
-                opts = Options::quick_default();
-                opts.threads = threads;
-            }
-            "--full" => {
-                let threads = opts.threads;
-                opts = Options::full_default();
-                opts.threads = threads;
-            }
-            "--trials" => {
-                opts.trials = value(&mut it, "--trials")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--trials: not a number"));
-            }
-            "--seed" => {
-                opts.seed = value(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed: not a number"));
-            }
-            "--threads" => {
-                opts.threads = value(&mut it, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--threads: not a number"));
-                if opts.threads == 0 {
-                    fail("--threads must be >= 1");
-                }
+            "--quick" | "--full" => campaign.push(arg),
+            "--trials" | "--seed" | "--threads" => {
+                let v = value(&mut it, &arg);
+                campaign.extend([arg, v]);
             }
             "--scale" => {
-                opts.scale = value(&mut it, "--scale")
+                let v: f64 = value(&mut it, "--scale")
                     .parse()
                     .unwrap_or_else(|_| fail("--scale: not a number"));
-                if !(opts.scale > 0.0 && opts.scale.is_finite()) {
+                if !(v > 0.0 && v.is_finite()) {
                     fail("--scale must be a positive finite number");
                 }
+                scale = Some(v);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -119,6 +102,16 @@ fn main() {
             }
             other => fail(&format!("unknown flag {other}")),
         }
+    }
+    // A fleet worker should not eat every core by default: the fleet's
+    // parallelism is its worker processes. `--threads` overrides.
+    let explicit_threads = campaign.iter().any(|a| a == "--threads");
+    let mut opts = Options::parse(campaign).unwrap_or_else(|e| fail(&e));
+    if !explicit_threads {
+        opts.threads = 1;
+    }
+    if let Some(v) = scale {
+        opts.scale = v;
     }
     if worker {
         let Some((lo, hi)) = range else {
@@ -145,11 +138,12 @@ fn main() {
             }
         },
         Mode::Coordinator => {
-            let mut coord = fleet::CoordinatorOptions::new(dir);
-            coord.workers = workers;
-            coord.http = http;
-            coord.dashboard = dashboard;
-            coord.http_workers = http_workers;
+            let coord = fleet::CoordinatorOptions {
+                workers,
+                dir,
+                http,
+                dashboard,
+            };
             match fleet::run_coordinator(&opts, &coord) {
                 Ok(summary) => print_summary(&format!("fleet({workers} workers)"), &summary),
                 Err(e) => {

@@ -109,10 +109,14 @@ impl Options {
     }
 
     /// Parse `std::env::args`-style strings (first element = program
-    /// name is skipped if present via [`Options::from_env`]).
+    /// name is skipped if present via [`Options::from_env`]). The last
+    /// of `--quick`/`--full` picks the mode defaults (scale, trials);
+    /// `--trials`, `--seed` and `--threads` override them in any order.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
-        let mut opts = Options::quick_default();
-        let mut explicit_trials = None;
+        let mut full = false;
+        let mut trials = None;
+        let mut seed = None;
+        let mut threads = None;
         let mut trace = None;
         let mut timeline = None;
         let mut status = None;
@@ -124,26 +128,27 @@ impl Options {
         let mut it = args.into_iter().peekable();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--quick" => {
-                    opts = Options::quick_default();
-                }
-                "--full" => {
-                    opts = Options::full_default();
-                }
+                "--quick" => full = false,
+                "--full" => full = true,
                 "--trials" => {
                     let v = it.next().ok_or("--trials needs a value")?;
-                    explicit_trials = Some(v.parse::<u64>().map_err(|e| format!("--trials: {e}"))?);
+                    let t = v.parse::<u64>().map_err(|e| format!("--trials: {e}"))?;
+                    if t == 0 {
+                        return Err("--trials must be >= 1".into());
+                    }
+                    trials = Some(t);
                 }
                 "--seed" => {
                     let v = it.next().ok_or("--seed needs a value")?;
-                    opts.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
+                    seed = Some(v.parse().map_err(|e| format!("--seed: {e}"))?);
                 }
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
-                    opts.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
-                    if opts.threads == 0 {
+                    let t = v.parse().map_err(|e| format!("--threads: {e}"))?;
+                    if t == 0 {
                         return Err("--threads must be >= 1".into());
                     }
+                    threads = Some(t);
                 }
                 "--trace" => {
                     // Optional selector; bare `--trace` samples trial 0.
@@ -233,12 +238,14 @@ impl Options {
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
-        if let Some(t) = explicit_trials {
-            if t == 0 {
-                return Err("--trials must be >= 1".into());
-            }
-            opts.trials = t;
-        }
+        let mut opts = if full {
+            Options::full_default()
+        } else {
+            Options::quick_default()
+        };
+        opts.trials = trials.unwrap_or(opts.trials);
+        opts.seed = seed.unwrap_or(opts.seed);
+        opts.threads = threads.unwrap_or(opts.threads);
         opts.trace = trace;
         opts.timeline = timeline;
         opts.status = status;
@@ -341,6 +348,16 @@ mod tests {
         assert_eq!(o.trials, 7);
         let o = parse(&["--full", "--trials", "7"]).unwrap();
         assert_eq!(o.trials, 7);
+        // Seed and threads survive a later mode flag too; the mode
+        // still sets its own scale.
+        let o = parse(&["--seed", "9", "--threads", "1", "--quick", "--trials", "1"]).unwrap();
+        assert_eq!((o.seed, o.threads, o.trials), (9, 1, 1));
+        assert!(o.quick);
+        let o = parse(&["--threads", "3", "--seed", "5", "--full"]).unwrap();
+        assert_eq!((o.seed, o.threads, o.trials), (5, 3, 100));
+        assert_eq!(o.scale, 1.0);
+        let o = parse(&["--full", "--seed", "5", "--quick"]).unwrap();
+        assert_eq!((o.seed, o.trials, o.scale), (5, 25, 0.125));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Fleet-scale campaign orchestration: one binary becomes a fleet.
 //!
 //! The coordinator shards a campaign's reduction chunks across N worker
-//! *processes* (the same binary re-executed in `--worker` mode), polls
-//! each worker's live `/status` endpoint (std-only HTTP, with the
-//! worker's status file as fallback), and merges the per-worker
-//! telemetry into a `fleet-status-v1` snapshot, an aggregated
-//! `/metrics` + `/status` exporter and a rate-limited stderr dashboard
-//! (see [`farm_obs::fleet`]).
+//! *processes* (the same binary re-executed in `--worker` mode), reads
+//! each worker's `farm-status-v1` status file (`FARM_STATUS`, rewritten
+//! every 0.2 s) on every poll, and merges the per-worker telemetry into
+//! a `fleet-status-v1` snapshot, an aggregated `/metrics` + `/status`
+//! exporter and a rate-limited stderr dashboard (see
+//! [`farm_obs::fleet`]). Observer failures — a port already taken, an
+//! unwritable snapshot path — warn once and never stop the campaign.
 //!
 //! Correctness contract — the headline invariant of the fleet path:
 //!
@@ -49,7 +50,7 @@ use farm_core::montecarlo::{
     CHUNK_TRIALS,
 };
 use farm_core::prelude::*;
-use farm_obs::{http_get, FleetMonitor, Json, WorkerView};
+use farm_obs::{write_atomic, FleetMonitor, Json, WorkerView};
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -61,9 +62,6 @@ pub const MAX_ATTEMPTS: u32 = 3;
 
 /// Coordinator poll cadence.
 const POLL_INTERVAL: StdDuration = StdDuration::from_millis(150);
-
-/// Per-request timeout when scraping a worker's `/status`.
-const SCRAPE_TIMEOUT: StdDuration = StdDuration::from_millis(1000);
 
 /// The fleet campaign's configuration: the Figure 3 slice (first
 /// figure-3 scheme, 100 GiB groups, zero detection latency, FARM
@@ -145,9 +143,9 @@ pub fn render_result(fingerprint: u64, lo: u64, hi: u64, chunks: &[(u64, McSumma
     out
 }
 
-/// Atomically write the checkpoint for range `[lo, hi)`: temp file in
-/// the fleet dir, then rename — a reader (the coordinator, or a future
-/// resume) never observes a partial checkpoint.
+/// Atomically write the checkpoint for range `[lo, hi)`, so a reader
+/// (the coordinator, or a future resume) never observes a partial
+/// checkpoint.
 pub fn write_result(
     dir: &Path,
     fingerprint: u64,
@@ -155,10 +153,10 @@ pub fn write_result(
     hi: u64,
     chunks: &[(u64, McSummary)],
 ) -> io::Result<()> {
-    let path = result_path(dir, lo, hi);
-    let tmp = dir.join(format!("range-{lo}-{hi}.result.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, render_result(fingerprint, lo, hi, chunks))?;
-    std::fs::rename(&tmp, &path)
+    write_atomic(
+        result_path(dir, lo, hi),
+        render_result(fingerprint, lo, hi, chunks),
+    )
 }
 
 /// Parse and validate a checkpoint body against the expected
@@ -264,8 +262,8 @@ fn crash_requested(lo: u64, hi: u64) -> bool {
 
 /// Worker-mode entry point: run chunk range `[lo, hi)` of the fleet
 /// campaign and atomically checkpoint the per-chunk summaries.
-/// Observability (status snapshots, `/metrics`) comes from the
-/// `FARM_STATUS` / `FARM_HTTP` environment the coordinator set up.
+/// Its status file comes from the `FARM_STATUS` environment the
+/// coordinator set up.
 pub fn run_worker(opts: &Options, dir: &Path, lo: u64, hi: u64) -> io::Result<()> {
     let cfg = fleet_config(opts);
     let fingerprint = campaign_fingerprint(&cfg, opts.seed, opts.trials, TrialMode::UntilLoss);
@@ -316,7 +314,7 @@ struct Slot {
 
 /// Exact counters for a validated range: trials, losses, and total
 /// simulated events, recomputed from the checkpoint's own summaries so
-/// a finished worker's row never depends on scrape timing.
+/// a finished worker's row never depends on poll timing.
 fn exact_counters(chunks: &[(u64, McSummary)]) -> (u64, u64, u64) {
     let (mut trials, mut losses, mut events) = (0u64, 0u64, 0.0f64);
     for (_, s) in chunks {
@@ -327,13 +325,7 @@ fn exact_counters(chunks: &[(u64, McSummary)]) -> (u64, u64, u64) {
     (trials, losses, events.round() as u64)
 }
 
-fn spawn_worker(
-    bin: &Path,
-    opts: &Options,
-    dir: &Path,
-    slot: &mut Slot,
-    http_workers: bool,
-) -> io::Result<()> {
+fn spawn_worker(bin: &Path, opts: &Options, dir: &Path, slot: &mut Slot) -> io::Result<()> {
     slot.view.attempts += 1;
     let attempt = slot.view.attempts;
     slot.status_path = dir.join(format!(
@@ -359,12 +351,10 @@ fn spawn_worker(
         // No progress bars from children: the coordinator's dashboard
         // owns stderr.
         .env("FARM_PROGRESS", "0")
+        // Workers report through their status file only; an inherited
+        // FARM_HTTP would have every worker bind the same port.
+        .env_remove("FARM_HTTP")
         .stdout(Stdio::null());
-    if http_workers {
-        cmd.env("FARM_HTTP", "127.0.0.1:0");
-    } else {
-        cmd.env_remove("FARM_HTTP");
-    }
     let child = cmd.spawn()?;
     slot.view.pid = Some(child.id());
     slot.view.alive = true;
@@ -372,22 +362,14 @@ fn spawn_worker(
     Ok(())
 }
 
-/// Scrape one worker's live counters: over HTTP once its exporter
-/// address is known, falling back to the status snapshot file either
-/// way. Quietly keeps the previous counters when neither yields a
-/// parseable document (the worker may not have written one yet).
-fn scrape_worker(slot: &mut Slot) {
-    let body = slot
-        .view
-        .http_addr
-        .as_ref()
-        .and_then(|addr| http_get(addr, "/status", SCRAPE_TIMEOUT).ok())
-        .or_else(|| std::fs::read_to_string(&slot.status_path).ok());
-    let Some(body) = body else { return };
+/// Read one worker's live counters from its status file. Quietly keeps
+/// the previous counters when there is no parseable document yet (the
+/// worker may not have written one).
+fn read_worker_status(slot: &mut Slot) {
+    let Ok(body) = std::fs::read_to_string(&slot.status_path) else {
+        return;
+    };
     let Ok(doc) = Json::parse(&body) else { return };
-    if let Some(addr) = doc.get("http_addr").and_then(Json::as_str) {
-        slot.view.http_addr = Some(addr.to_string());
-    }
     if let Some(v) = doc.get("trials_done").and_then(Json::as_u64) {
         slot.view.trials_done = v;
     }
@@ -414,29 +396,11 @@ pub struct CoordinatorOptions {
     /// `fleet-status.json`, and the final `fleet-summary.txt`.
     pub dir: PathBuf,
     /// Bind the aggregated `/metrics` + `/status` exporter here
-    /// (`"127.0.0.1:0"` picks a free port, recorded in the snapshot).
+    /// (`"127.0.0.1:0"` picks a free port, recorded in the snapshot; a
+    /// bind failure warns once and the fleet runs without it).
     pub http: Option<String>,
     /// Live stderr dashboard (`None` = only when stderr is a tty).
     pub dashboard: Option<bool>,
-    /// Worker binary; defaults to `current_exe()` (the fleet binary
-    /// re-executes itself). Tests point this at `CARGO_BIN_EXE_fleet`.
-    pub bin: Option<PathBuf>,
-    /// Give each worker its own `/metrics` exporter (`FARM_HTTP`), so
-    /// the coordinator scrapes live HTTP rather than files.
-    pub http_workers: bool,
-}
-
-impl CoordinatorOptions {
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        CoordinatorOptions {
-            workers: farm_obs::DEFAULT_FLEET_WORKERS,
-            dir: dir.into(),
-            http: None,
-            dashboard: None,
-            bin: None,
-            http_workers: true,
-        }
-    }
 }
 
 /// Coordinator-mode entry point: shard, spawn, poll, merge.
@@ -451,10 +415,8 @@ pub fn run_coordinator(opts: &Options, fleet: &CoordinatorOptions) -> io::Result
     let ranges = plan_ranges(opts.trials, fleet.workers);
     let dir = fleet.dir.as_path();
     std::fs::create_dir_all(dir)?;
-    let bin = match &fleet.bin {
-        Some(b) => b.clone(),
-        None => std::env::current_exe()?,
-    };
+    // Workers are this same binary, re-executed in `--worker` mode.
+    let bin = std::env::current_exe()?;
     let dashboard = fleet
         .dashboard
         .unwrap_or_else(|| io::IsTerminal::is_terminal(&io::stderr()));
@@ -492,17 +454,14 @@ pub fn run_coordinator(opts: &Options, fleet: &CoordinatorOptions) -> io::Result
         opts.trials,
         slots.iter().map(|s| s.view.clone()).collect(),
         dashboard,
+        fleet.http.as_deref(),
     );
-    if let Some(addr) = &fleet.http {
-        let bound = monitor.spawn_exporter(addr)?;
+    if let Some(bound) = monitor.http_addr() {
         eprintln!("[fleet] aggregated exporter on http://{bound}/metrics");
     }
 
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if !slot.view.done {
-            spawn_worker(&bin, opts, dir, slot, fleet.http_workers)?;
-            let _ = i;
-        }
+    for slot in slots.iter_mut().filter(|s| !s.view.done) {
+        spawn_worker(&bin, opts, dir, slot)?;
     }
 
     let snapshot_path = dir.join("fleet-status.json");
@@ -513,7 +472,7 @@ pub fn run_coordinator(opts: &Options, fleet: &CoordinatorOptions) -> io::Result
             if slot.view.done {
                 continue;
             }
-            scrape_worker(slot);
+            read_worker_status(slot);
             let exited = match slot.child.as_mut() {
                 Some(child) => child.try_wait()?.is_some(),
                 None => true,
@@ -540,12 +499,12 @@ pub fn run_coordinator(opts: &Options, fleet: &CoordinatorOptions) -> io::Result
                     "\n[fleet] worker {i} (chunks {lo}:{hi}) died without a checkpoint; respawning (attempt {})",
                     slot.view.attempts + 1
                 );
-                spawn_worker(&bin, opts, dir, slot, fleet.http_workers)?;
+                spawn_worker(&bin, opts, dir, slot)?;
             }
             all_done = false;
         }
         monitor.update_workers(slots.iter().map(|s| s.view.clone()).collect());
-        monitor.write_snapshot(&snapshot_path.to_string_lossy())?;
+        monitor.write_snapshot(&snapshot_path);
         monitor.dashboard_tick();
         if all_done {
             break;
@@ -589,11 +548,9 @@ pub fn run_single(opts: &Options, dir: &Path) -> io::Result<McSummary> {
     Ok(summary)
 }
 
-/// Write a summary's compact form (one line), temp + rename.
+/// Atomically write a summary's compact form (one line).
 fn write_summary(path: &Path, summary: &McSummary) -> io::Result<()> {
-    let tmp = path.with_extension(format!("txt.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, format!("{}\n", summary.to_compact()))?;
-    std::fs::rename(&tmp, path)
+    write_atomic(path, format!("{}\n", summary.to_compact()))
 }
 
 #[cfg(test)]

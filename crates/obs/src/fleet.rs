@@ -5,19 +5,18 @@
 //! dashboard.
 //!
 //! This module is deliberately generic: it knows about *workers* (a
-//! pid, a trial range, live counters scraped from their `/status`
-//! endpoints) but nothing about how trials are run or how summaries
-//! fold — that orchestration lives in `farm-experiments::fleet`. What
-//! lives here mirrors the single-process monitor stack one layer up:
+//! pid, a trial range, live counters read from their `farm-status-v1`
+//! status files) but nothing about how trials are run or how summaries
+//! fold — that orchestration lives in `farm-experiments::fleet`. It
+//! mirrors the single-process monitor one layer up and shares its
+//! plumbing: `http::serve` runs the listener and
+//! [`crate::sink::write_atomic`] publishes the snapshot.
 //!
 //! * [`Json`] — a dependency-free JSON reader for worker status
 //!   documents (the repo has no serde_json; this is the read-side
 //!   counterpart of the hand-rendered writers in `status.rs`).
-//! * [`http_get`] — the std-only scrape client the coordinator polls
-//!   worker `/status` endpoints with.
-//! * [`FleetMonitor`] — merged live state; renders `fleet-status-v1`
-//!   (write-temp-then-rename, like `farm-status-v1`), serves `/metrics`
-//!   and `/status`, and prints the dashboard line.
+//! * [`FleetMonitor`] — merged live state; renders `fleet-status-v1`,
+//!   serves `/metrics` and `/status`, and prints the dashboard line.
 //!
 //! Schema (`fleet-status-v1`, validated by
 //! `scripts/check_telemetry.py fleet`):
@@ -36,61 +35,32 @@
 //!   "workers": [
 //!     { "worker": 0, "pid": 4311, "range_lo": 0, "range_hi": 100,
 //!       "alive": true, "done": false, "attempts": 1,
-//!       "http_addr": "127.0.0.1:40001", "trials_done": 42,
-//!       "losses": 1, "events": 1521234, "trials_per_sec": 3.4 }
+//!       "trials_done": 42, "losses": 1, "events": 1521234,
+//!       "trials_per_sec": 3.4 }
 //!   ]
 //! }
 //! ```
 
+use crate::http::{self, Page};
+use crate::progress::fmt_eta;
 use crate::status::{jnum, jstr};
+use crate::{diag, sink};
 use farm_des::stats::Proportion;
 use std::fmt::Write as _;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Default checkpoint/artifact directory for a bare `FARM_FLEET=1`.
-pub const DEFAULT_FLEET_DIR: &str = "farm-fleet";
-
-/// Default worker-process count when `FARM_WORKERS` is unset.
-pub const DEFAULT_FLEET_WORKERS: usize = 2;
-
-/// Resolve the fleet directory from `FARM_FLEET` (`""`/`"1"` → the
-/// default, anything else is a path). `None` when the knob is unset.
-pub fn fleet_dir_from_env() -> Option<String> {
-    let v = std::env::var("FARM_FLEET").ok()?;
-    let v = v.trim();
-    Some(match v {
-        "" | "1" => DEFAULT_FLEET_DIR.to_string(),
-        p => p.to_string(),
-    })
-}
-
-/// Resolve the worker count from `FARM_WORKERS`, warning once on junk.
-pub fn fleet_workers_from_env() -> usize {
-    if let Ok(v) = std::env::var("FARM_WORKERS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => {
-                crate::diag::warn_once(
-                    "FARM_WORKERS",
-                    &format!("ignoring invalid FARM_WORKERS={v:?} (want an integer >= 1)"),
-                );
-            }
-        }
-    }
-    DEFAULT_FLEET_WORKERS
-}
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // A minimal JSON reader.
 // ---------------------------------------------------------------------
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The documents
-/// this reads nest a few levels; the cap keeps a corrupt status file or
-/// a foreign listener's reply from overflowing the reader's stack.
+/// this reads nest a few levels; the cap keeps a corrupt status file
+/// from overflowing the reader's stack.
 const JSON_MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Numbers are kept as f64 (every counter this
@@ -324,40 +294,6 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
 }
 
 // ---------------------------------------------------------------------
-// A std-only scrape client.
-// ---------------------------------------------------------------------
-
-/// GET `path` from `addr` ("host:port") and return the response body.
-/// Short timeouts everywhere: a wedged worker must not stall the
-/// coordinator's poll loop. Non-200 responses are errors.
-pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<String> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, format!("bad addr {addr:?}")))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header/body split"))?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("GET {path}: {status}"),
-        ));
-    }
-    Ok(body.to_string())
-}
-
-// ---------------------------------------------------------------------
 // Merged fleet state.
 // ---------------------------------------------------------------------
 
@@ -377,10 +313,8 @@ pub struct WorkerView {
     pub alive: bool,
     /// Has the worker's result checkpoint been validated?
     pub done: bool,
-    /// The worker's own exporter, once discovered from its status file.
-    pub http_addr: Option<String>,
-    /// Live counters from the worker's last `/status` scrape. For a
-    /// finished worker these are the range's exact totals.
+    /// Live counters from the worker's status file at the last poll.
+    /// For a finished worker these are the range's exact totals.
     pub trials_done: u64,
     pub losses: u64,
     pub events: u64,
@@ -397,15 +331,24 @@ pub struct FleetMonitor {
     /// Millisecond timestamp (vs `start`) of the last dashboard line.
     last_dash_ms: AtomicU64,
     dashboard: bool,
-    pub(crate) http_addr: OnceLock<SocketAddr>,
+    http_addr: OnceLock<SocketAddr>,
 }
 
 /// Dashboard line rate limit.
 const DASH_INTERVAL_MS: u64 = 500;
 
 impl FleetMonitor {
-    pub fn new(trials_total: u64, workers: Vec<WorkerView>, dashboard: bool) -> Arc<FleetMonitor> {
-        Arc::new(FleetMonitor {
+    /// Build the merged state. With `http` set, also serve the
+    /// aggregated `/metrics` + `/status` there (port 0 picks a free
+    /// port; the bound address lands in the snapshot's `http_addr`). A
+    /// bind failure warns once and the fleet runs without the exporter.
+    pub fn new(
+        trials_total: u64,
+        workers: Vec<WorkerView>,
+        dashboard: bool,
+        http: Option<&str>,
+    ) -> Arc<FleetMonitor> {
+        let mon = Arc::new(FleetMonitor {
             start: Instant::now(),
             trials_total,
             workers: Mutex::new(workers),
@@ -413,69 +356,23 @@ impl FleetMonitor {
             last_dash_ms: AtomicU64::new(0),
             dashboard,
             http_addr: OnceLock::new(),
-        })
-    }
-
-    /// Start the aggregated `/metrics` + `/status` exporter (port 0
-    /// picks a free port; the bound address lands in the snapshot's
-    /// `http_addr` field).
-    pub fn spawn_exporter(self: &Arc<Self>, addr: &str) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        let mon = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("fleet-http".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    let Ok(stream) = conn else { continue };
-                    let _ = mon.handle_conn(stream);
-                }
-            })?;
-        let _ = self.http_addr.set(bound);
-        Ok(bound)
-    }
-
-    fn handle_conn(&self, stream: TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-        let mut reader = io::BufReader::new(stream);
-        let mut request_line = String::new();
-        io::BufRead::read_line(&mut reader, &mut request_line)?;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = io::BufRead::read_line(&mut reader, &mut line)?;
-            if n == 0 || line == "\r\n" || line == "\n" {
-                break;
+        });
+        if let Some(addr) = http {
+            let reader = Arc::clone(&mon);
+            let route = move |page| match page {
+                Page::Metrics => reader.render_metrics(),
+                Page::Status => reader.render_status(),
+            };
+            if let Some(bound) = http::serve(addr, route) {
+                let _ = mon.http_addr.set(bound);
             }
         }
-        let path = request_line.split_whitespace().nth(1).unwrap_or("");
-        let (code, content_type, body) = match path {
-            "/metrics" => (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                self.render_metrics(),
-            ),
-            "/status" => (
-                "200 OK",
-                "application/json; charset=utf-8",
-                self.render_status(),
-            ),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found; try /metrics or /status\n".to_string(),
-            ),
-        };
-        let mut stream = reader.into_inner();
-        write!(
-            stream,
-            "HTTP/1.1 {code}\r\nContent-Type: {content_type}\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        )?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()
+        mon
+    }
+
+    /// Where the aggregated exporter bound, if it is up.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http_addr.get().copied()
     }
 
     /// Replace the fleet's worker views (one coordinator poll round).
@@ -568,11 +465,6 @@ impl FleetMonitor {
                 ",\"range_lo\":{},\"range_hi\":{},\"alive\":{},\"done\":{},\"attempts\":{}",
                 w.range_lo, w.range_hi, w.alive, w.done, w.attempts
             );
-            out.push_str(",\"http_addr\":");
-            match &w.http_addr {
-                Some(a) => jstr(&mut out, a),
-                None => out.push_str("null"),
-            }
             let _ = write!(
                 out,
                 ",\"trials_done\":{},\"losses\":{},\"events\":{}",
@@ -717,13 +609,16 @@ impl FleetMonitor {
         out
     }
 
-    /// Write one snapshot: temp file in the same directory, then an
-    /// atomic rename, so readers never observe a partial JSON.
-    pub fn write_snapshot(&self, path: &str) -> io::Result<()> {
-        let body = self.render_status();
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        std::fs::write(&tmp, body)?;
-        std::fs::rename(&tmp, path)
+    /// Publish one `fleet-status-v1` snapshot at `path`. A failed write
+    /// warns once and the fleet carries on: a broken observer must not
+    /// stop the campaign.
+    pub fn write_snapshot(&self, path: &Path) {
+        if let Err(e) = sink::write_atomic(path, self.render_status()) {
+            diag::warn_once(
+                "fleet-status-write",
+                &format!("cannot write fleet snapshot {}: {e}", path.display()),
+            );
+        }
     }
 
     /// Print the live dashboard line if at least [`DASH_INTERVAL_MS`]
@@ -770,11 +665,8 @@ impl FleetMonitor {
         } else {
             0.0
         };
-        let eta = if rate > 0.0 {
-            fmt_eta(self.trials_total.saturating_sub(done) as f64 / rate)
-        } else {
-            "?".to_string()
-        };
+        // Zero rate gives a non-finite ETA, which prints as `?`.
+        let eta = fmt_eta(self.trials_total.saturating_sub(done) as f64 / rate);
         let mut line = format!(
             "\r[fleet] workers {up}/{} | trials {done}/{} ({pct:.1}%) | {rate:.1} trials/s | ETA {eta} | p_loss {:.4} [{lo:.4}, {hi:.4}]",
             workers.len(),
@@ -790,24 +682,10 @@ impl FleetMonitor {
     }
 }
 
-/// Compact ETA: `42s`, `3m10s`, `2h05m`.
-fn fmt_eta(secs: f64) -> String {
-    if !secs.is_finite() {
-        return "?".to_string();
-    }
-    let s = secs.round() as u64;
-    if s < 60 {
-        format!("{s}s")
-    } else if s < 3600 {
-        format!("{}m{:02}s", s / 60, s % 60)
-    } else {
-        format!("{}h{:02}m", s / 3600, (s % 3600) / 60)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::tests::scrape;
 
     #[test]
     fn json_parses_scalars_arrays_and_objects() {
@@ -870,7 +748,7 @@ mod tests {
         assert_eq!(batches[0].get("trials_total").unwrap().as_u64(), Some(16));
     }
 
-    fn two_worker_monitor() -> Arc<FleetMonitor> {
+    fn two_worker_monitor(http: Option<&str>) -> Arc<FleetMonitor> {
         FleetMonitor::new(
             32,
             vec![
@@ -902,12 +780,13 @@ mod tests {
                 },
             ],
             false,
+            http,
         )
     }
 
     #[test]
     fn fleet_status_merges_workers_and_brackets_p_loss() {
-        let mon = two_worker_monitor();
+        let mon = two_worker_monitor(None);
         let body = mon.render_status();
         let doc = Json::parse(&body).expect("fleet status parses");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("fleet-status-v1"));
@@ -937,7 +816,7 @@ mod tests {
 
     #[test]
     fn fleet_metrics_roll_up_and_label_workers() {
-        let mon = two_worker_monitor();
+        let mon = two_worker_monitor(None);
         let body = mon.render_metrics();
         assert!(
             body.contains("# TYPE farm_fleet_trials_total counter"),
@@ -968,50 +847,34 @@ mod tests {
 
     #[test]
     fn fleet_exporter_serves_status_and_metrics() {
-        let mon = two_worker_monitor();
-        let addr = mon.spawn_exporter("127.0.0.1:0").expect("bind");
-        let body = http_get(&addr.to_string(), "/status", Duration::from_secs(2)).unwrap();
+        let mon = two_worker_monitor(Some("127.0.0.1:0"));
+        let addr = mon.http_addr().expect("bound");
+        let (head, body) = scrape(addr, "/status");
+        assert!(head.contains("application/json"), "{head}");
         let doc = Json::parse(&body).expect("served status parses");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("fleet-status-v1"));
         assert_eq!(
             doc.get("http_addr").unwrap().as_str(),
             Some(addr.to_string().as_str())
         );
-        let metrics = http_get(&addr.to_string(), "/metrics", Duration::from_secs(2)).unwrap();
+        let (_, metrics) = scrape(addr, "/metrics");
         assert!(metrics.contains("farm_fleet_workers 2"), "{metrics}");
-        // Non-200 surfaces as an error.
-        assert!(http_get(&addr.to_string(), "/nope", Duration::from_secs(2)).is_err());
+        let (head, _) = scrape(addr, "/nope");
+        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
     }
 
     #[test]
     fn fleet_snapshot_is_atomic_and_parseable() {
-        let mon = two_worker_monitor();
+        let mon = two_worker_monitor(None);
         let dir = std::env::temp_dir().join(format!("farm-fleet-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fleet-status.json");
-        mon.write_snapshot(path.to_str().unwrap()).unwrap();
+        mon.write_snapshot(&path);
         let body = std::fs::read_to_string(&path).unwrap();
         let doc = Json::parse(&body).expect("snapshot parses");
         assert_eq!(doc.get("trials_done").unwrap().as_u64(), Some(26));
         // No leftover temp file.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn eta_formatting() {
-        assert_eq!(fmt_eta(42.4), "42s");
-        assert_eq!(fmt_eta(190.0), "3m10s");
-        assert_eq!(fmt_eta(7500.0), "2h05m");
-        assert_eq!(fmt_eta(f64::NAN), "?");
-    }
-
-    #[test]
-    fn fleet_env_knobs() {
-        // Uses the documented parse rules without touching the process
-        // environment (other tests run in parallel): exercise the
-        // mapping through a throwaway child-free check of the constants.
-        assert_eq!(DEFAULT_FLEET_DIR, "farm-fleet");
-        const { assert!(DEFAULT_FLEET_WORKERS >= 1) };
     }
 }

@@ -1,6 +1,9 @@
 //! Std-only HTTP exporter: `/metrics` (Prometheus/OpenMetrics text
 //! exposition) and `/status` (the same JSON as the status file), served
-//! from one `TcpListener` thread (`FARM_HTTP=addr`).
+//! from one `TcpListener` thread by `serve`. Both monitors use it: the
+//! campaign monitor (`FARM_HTTP=addr`) and the fleet coordinator
+//! (`fleet --http addr`), each passing a route that renders its own
+//! pages.
 //!
 //! This is a scrape endpoint, not a web server: requests are handled
 //! sequentially on the listener thread, each response closes the
@@ -15,11 +18,10 @@
 //! `_sum`/`_count`).
 
 use crate::registry::MonitorCore;
-use crate::rss;
+use crate::{diag, rss};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Escape a Prometheus label value (`\`, `"`, newline).
@@ -265,25 +267,51 @@ pub(crate) fn render_metrics(core: &MonitorCore) -> String {
     out
 }
 
-/// Spawn the listener thread; returns the bound address (so `addr` may
-/// use port 0 and tests/scrapers can discover the real port — it is
-/// also published in the status file's `http_addr` field).
-pub(crate) fn spawn_exporter(core: Arc<MonitorCore>, addr: &str) -> std::io::Result<SocketAddr> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    std::thread::Builder::new()
-        .name("farm-http".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { continue };
-                // Best-effort: a broken scraper never kills the thread.
-                let _ = handle_conn(stream, &core);
-            }
-        })?;
-    Ok(bound)
+/// The two pages a monitor serves.
+pub(crate) enum Page {
+    /// `/metrics`: Prometheus text exposition.
+    Metrics,
+    /// `/status`: the monitor's JSON status document.
+    Status,
 }
 
-fn handle_conn(stream: TcpStream, core: &MonitorCore) -> std::io::Result<()> {
+/// Serve a monitor from one listener thread: bind `addr` (port 0 picks
+/// a free port), answer `/metrics` and `/status` with what `route`
+/// renders for that page, and 404 anything else. Returns the bound
+/// address, which the monitor publishes in its `http_addr` field. A
+/// bind or thread-spawn failure warns once and returns `None`: the
+/// campaign runs on without the exporter, since monitoring must never
+/// take it down.
+pub(crate) fn serve(
+    addr: &str,
+    route: impl Fn(Page) -> String + Send + 'static,
+) -> Option<SocketAddr> {
+    let bound = TcpListener::bind(addr).and_then(|listener| {
+        let bound = listener.local_addr()?;
+        std::thread::Builder::new()
+            .name("farm-http".into())
+            .spawn(move || {
+                for conn in listener.incoming() {
+                    let Ok(stream) = conn else { continue };
+                    // Best-effort: a broken scraper never kills the thread.
+                    let _ = handle_conn(stream, &route);
+                }
+            })?;
+        Ok(bound)
+    });
+    match bound {
+        Ok(bound) => Some(bound),
+        Err(e) => {
+            diag::warn_once(
+                "http-bind",
+                &format!("cannot serve HTTP on {addr:?}: {e}; running without the exporter"),
+            );
+            None
+        }
+    }
+}
+
+fn handle_conn(stream: TcpStream, route: &impl Fn(Page) -> String) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream);
@@ -303,12 +331,12 @@ fn handle_conn(stream: TcpStream, core: &MonitorCore) -> std::io::Result<()> {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            render_metrics(core),
+            route(Page::Metrics),
         ),
         "/status" => (
             "200 OK",
             "application/json; charset=utf-8",
-            crate::status::render_status(core, 0),
+            route(Page::Status),
         ),
         _ => (
             "404 Not Found",
@@ -328,12 +356,13 @@ fn handle_conn(stream: TcpStream, core: &MonitorCore) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::registry::CampaignMonitor;
     use std::io::Read;
 
-    fn scrape(addr: SocketAddr, path: &str) -> (String, String) {
+    /// GET `path` from a test exporter; returns (head, body).
+    pub(crate) fn scrape(addr: SocketAddr, path: &str) -> (String, String) {
         let mut s = TcpStream::connect(addr).expect("connect");
         write!(
             s,

@@ -28,6 +28,10 @@
 //!   atomic-rename status snapshots with an online Wilson-interval loss
 //!   estimate (`FARM_STATUS=path[@secs]` / `--status`), and a std-only
 //!   HTTP listener serving `/metrics` + `/status` (`FARM_HTTP=addr`),
+//! * [`http`] and [`sink::write_atomic`] — the monitoring plane both
+//!   monitors share: one listener ([`http`]'s `serve`, each monitor
+//!   passing a route for its own pages) and one temp-then-rename writer
+//!   for every whole-document output,
 //! * [`convergence::ConvergenceTracker`] / [`convergence::ConvergenceCore`]
 //!   — estimator-convergence observability: a decimated JSONL stream of
 //!   Wilson-interval trajectories, analytic-anchor drift, and
@@ -41,10 +45,10 @@
 //!   (`FARM_SPANS=path[@fmt]` / `--spans`), and critical-path
 //!   breakdowns in data-loss post-mortems,
 //! * [`fleet::FleetMonitor`] — fleet-scale campaign observability: the
-//!   coordinator-side merge of many worker processes' telemetry into
+//!   coordinator-side merge of the worker processes' status files into
 //!   `fleet-status-v1` snapshots, an aggregated `/metrics` + `/status`
 //!   exporter with per-worker labels and fleet rollups, and a
-//!   rate-limited stderr dashboard (`FARM_FLEET` / `FARM_WORKERS`),
+//!   rate-limited stderr dashboard (`fleet --http` / `--dashboard`),
 //! * [`ObsOptions`] — the switchboard, populated from `FARM_TRACE` /
 //!   `FARM_PROFILE` / `FARM_PROGRESS` / `FARM_TIMELINE` /
 //!   `FARM_POSTMORTEM` / `FARM_STATUS` / `FARM_HTTP` /
@@ -75,16 +79,13 @@ pub mod timeline;
 pub mod trace;
 
 pub use convergence::{ConvergenceCore, ConvergenceSpec, ConvergenceTracker, STOP_CHECK_EVERY};
-pub use fleet::{
-    fleet_dir_from_env, fleet_workers_from_env, http_get, FleetMonitor, Json, WorkerView,
-    DEFAULT_FLEET_DIR, DEFAULT_FLEET_WORKERS,
-};
+pub use fleet::{FleetMonitor, Json, WorkerView};
 pub use flight::FlightRecorder;
 pub use profile::EventProfile;
 pub use progress::Progress;
 pub use recorder::{LossCause, TrialBlock, TrialEvent, TrialRecorder};
 pub use registry::{BatchHandle, BatchTotals, CampaignMonitor, SpanPhases, WorkerShard};
-pub use sink::open_batch_file;
+pub use sink::{open_batch_file, write_atomic};
 pub use spans::{CriticalPath, SpanFormat, SpanRecorder, SpansSpec, TrialSpans};
 pub use status::StatusSpec;
 pub use timeline::{TimelineBands, TimelineRecorder, TimelineSpec, GAUGES, N_GAUGES};

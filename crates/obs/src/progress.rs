@@ -114,7 +114,12 @@ impl Progress {
     }
 }
 
-fn fmt_eta(secs: f64) -> String {
+/// Compact ETA: `42s`, `3m10s`, `2h05m`; `?` when unknown (non-finite).
+/// Shared by the progress line and the fleet dashboard.
+pub(crate) fn fmt_eta(secs: f64) -> String {
+    if !secs.is_finite() {
+        return "?".to_string();
+    }
     let s = secs.round() as u64;
     if s >= 3600 {
         format!("{}h{:02}m", s / 3600, (s % 3600) / 60)
@@ -220,5 +225,7 @@ mod tests {
         assert_eq!(fmt_eta(5.4), "5s");
         assert_eq!(fmt_eta(65.0), "1m05s");
         assert_eq!(fmt_eta(3725.0), "1h02m");
+        assert_eq!(fmt_eta(f64::NAN), "?");
+        assert_eq!(fmt_eta(f64::INFINITY), "?");
     }
 }

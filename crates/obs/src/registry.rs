@@ -23,7 +23,7 @@
 //! bit for bit (pinned by `tests/campaign_monitor.rs`).
 
 use crate::status::StatusSpec;
-use crate::{diag, http, status};
+use crate::{diag, http, sink, status};
 use farm_des::stats::{Histogram, Proportion};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -261,7 +261,8 @@ impl MonitorCore {
             return;
         };
         let mut seq = self.snapshot_seq.lock().expect("snapshot_seq poisoned");
-        if let Err(e) = status::write_snapshot(self, spec, *seq) {
+        let body = status::render_status(self, *seq);
+        if let Err(e) = sink::write_atomic(&spec.path, body) {
             diag::warn_once(
                 "status-write",
                 &format!("cannot write status snapshot {:?}: {e}", spec.path),
@@ -310,16 +311,13 @@ impl CampaignMonitor {
                 .ok();
         }
         if let Some(addr) = http {
-            match http::spawn_exporter(Arc::clone(&core), addr) {
-                Ok(bound) => {
-                    let _ = core.http_addr.set(bound);
-                }
-                Err(e) => {
-                    diag::warn_once(
-                        "http-bind",
-                        &format!("cannot bind FARM_HTTP listener on {addr:?}: {e}"),
-                    );
-                }
+            let reader = Arc::clone(&core);
+            let route = move |page| match page {
+                http::Page::Metrics => http::render_metrics(&reader),
+                http::Page::Status => status::render_status(&reader, 0),
+            };
+            if let Some(bound) = http::serve(addr, route) {
+                let _ = core.http_addr.set(bound);
             }
         }
         CampaignMonitor { core }

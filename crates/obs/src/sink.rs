@@ -11,11 +11,14 @@
 //! the fresh open.
 //!
 //! The artifact specs share one grammar, `path[@param]`, split by
-//! [`split_spec`].
+//! [`split_spec`]. Whole-document outputs — status snapshots, fleet
+//! checkpoints and summaries, Chrome traces — are published with
+//! [`write_atomic`] instead.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
 fn registry() -> &'static Mutex<BTreeMap<String, u64>> {
@@ -60,6 +63,23 @@ pub fn open_batch_file(path: &str) -> io::Result<(File, bool, u64)> {
     Ok((file, fresh, batch))
 }
 
+/// Publish `bytes` as the whole content of `path`: write
+/// `{path}.tmp.{pid}` in the same directory, then rename it over `path`,
+/// so a reader sees the previous document or the new one, never a torn
+/// write, and two processes never share a temp file. On failure the
+/// temp file is removed.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let res = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if res.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    res
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,5 +116,26 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(body, "batch2\n");
+    }
+
+    #[test]
+    fn write_atomic_replaces_and_cleans_up_on_failure() {
+        let dir = std::env::temp_dir().join(format!("farm-sink-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.json");
+        write_atomic(&path, "old\n").unwrap();
+        write_atomic(&path, "new\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new\n");
+        // A directory in the way fails the rename; the temp file goes.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(write_atomic(&blocked, "x").is_err());
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(names, ["blocked", "doc.json"]);
     }
 }

@@ -573,7 +573,7 @@ impl SpanRecorder {
 /// trace must be one JSON document, but multi-config campaigns emit
 /// once per batch — so each flush rewrites the whole file from the
 /// accumulated rows (small for the debugging workloads this targets),
-/// via write-temp-then-rename like the status snapshots.
+/// published with [`crate::sink::write_atomic`] like the status snapshots.
 static CHROME_RUNS: OnceLock<Mutex<HashMap<String, Vec<String>>>> = OnceLock::new();
 
 /// Append `events` for `path` and rewrite the file as a complete
@@ -593,9 +593,7 @@ pub fn chrome_flush(path: &str, events: Vec<String>) -> std::io::Result<()> {
         body.push_str(ev);
     }
     body.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, body.as_bytes())?;
-    std::fs::rename(&tmp, path)
+    crate::sink::write_atomic(path, body)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! `--status [SPEC]`).
 //!
 //! A multi-hour Monte-Carlo campaign gets a small JSON file, rewritten
-//! every few seconds via write-temp-then-atomic-rename, so any reader —
+//! every few seconds with [`crate::sink::write_atomic`], so any reader —
 //! `watch cat`, a dashboard, the CI smoke — always sees one complete,
 //! parse-able document and never a torn write. Schema
 //! (`farm-status-v1`, validated by `scripts/check_telemetry.py status`):
@@ -37,7 +37,6 @@
 use crate::registry::MonitorCore;
 use crate::rss;
 use std::fmt::Write as _;
-use std::io;
 
 /// Default output path for a bare `--status` / `FARM_STATUS=1`.
 pub const DEFAULT_STATUS_PATH: &str = "farm-status.json";
@@ -257,15 +256,6 @@ pub(crate) fn render_status(core: &MonitorCore, seq: u64) -> String {
     out.push_str(&rendered.join(","));
     out.push_str("]}\n");
     out
-}
-
-/// Write one snapshot: temp file in the same directory, then an atomic
-/// rename over the real path, so readers never observe a partial JSON.
-pub(crate) fn write_snapshot(core: &MonitorCore, spec: &StatusSpec, seq: u64) -> io::Result<()> {
-    let body = render_status(core, seq);
-    let tmp = format!("{}.tmp.{}", spec.path, std::process::id());
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, &spec.path)
 }
 
 #[cfg(test)]

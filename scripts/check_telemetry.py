@@ -239,7 +239,7 @@ def check_status(path):
 
 FLEET_WORKER_KEYS = [
     "worker", "pid", "range_lo", "range_hi", "alive", "done", "attempts",
-    "http_addr", "trials_done", "losses", "events", "trials_per_sec",
+    "trials_done", "losses", "events", "trials_per_sec",
 ]
 
 
@@ -317,8 +317,6 @@ def check_fleet(path, later=None):
                 fail(f"{where}: {key} must be a boolean")
         if w["pid"] is not None and not isinstance(w["pid"], int):
             fail(f"{where}: pid must be an integer or null")
-        if w["http_addr"] is not None and not isinstance(w["http_addr"], str):
-            fail(f"{where}: http_addr must be a string or null")
         _num_or_null(w, "trials_per_sec", where)
         span = w["range_hi"] - w["range_lo"]
         if span < 0:

@@ -10,7 +10,7 @@ use farm_core::prelude::*;
 use farm_experiments::cli::Options;
 use farm_experiments::fleet::{self, campaign_fingerprint, fleet_config, load_result, plan_ranges};
 use farm_obs::{Json, ObsOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const TRIALS: u64 = 16;
@@ -94,27 +94,41 @@ fn fleet_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fleet"))
 }
 
-fn run_coordinator(dir: &PathBuf, workers: usize) -> std::process::Output {
-    fleet_bin()
-        .args([
-            "--workers",
-            &workers.to_string(),
-            "--no-dashboard",
-            "--no-worker-http",
-        ])
+/// A `workers`-worker coordinator for the test campaign in `dir`.
+fn coordinator(dir: &Path, workers: usize) -> Command {
+    let mut cmd = fleet_bin();
+    cmd.args(["--workers", &workers.to_string(), "--no-dashboard"])
         .args(["--trials", &TRIALS.to_string()])
         .args(["--seed", &SEED.to_string()])
         .args(["--scale", &SCALE.to_string()])
         .args(["--threads", "1"])
         .arg("--fleet")
         .arg(dir)
-        .env_remove("FARM_FLEET_CRASH_RANGE")
+        .env_remove("FARM_FLEET_CRASH_RANGE");
+    cmd
+}
+
+fn run_coordinator(dir: &Path, workers: usize) -> std::process::Output {
+    coordinator(dir, workers)
         .output()
         .expect("spawn fleet coordinator")
 }
 
+/// The merged `fleet-status.json` snapshot in `dir`.
+fn snapshot(dir: &Path) -> Json {
+    let snap = std::fs::read_to_string(dir.join("fleet-status.json")).unwrap();
+    Json::parse(&snap).unwrap()
+}
+
+/// The merged `fleet-summary.txt` in `dir` holds the single-process bytes.
+fn assert_single_process_summary(dir: &Path) {
+    let merged = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
+    assert_eq!(merged.trim(), single_process_compact(TRIALS, 1));
+}
+
 /// The real processes: `--single` and a 2-worker coordinator produce
-/// byte-identical summary files.
+/// byte-identical summary files. `--single` gets `--quick` last: a mode
+/// flag must not reset the trials, seed, scale or threads before it.
 #[test]
 fn fleet_binary_matches_single_binary() {
     let dir = fleet_dir("bin");
@@ -125,20 +139,19 @@ fn fleet_binary_matches_single_binary() {
         .args(["--threads", "1"])
         .arg("--fleet")
         .arg(&dir)
+        .arg("--quick")
         .output()
         .expect("spawn fleet --single");
     assert!(single.status.success(), "--single failed: {single:?}");
     let out = run_coordinator(&dir, 2);
     assert!(out.status.success(), "coordinator failed: {out:?}");
-    let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
     let single_sum = std::fs::read_to_string(dir.join("fleet-summary-single.txt")).unwrap();
-    assert_eq!(fleet_sum, single_sum);
-    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
+    assert_eq!(single_sum.trim(), single_process_compact(TRIALS, 1));
+    assert_single_process_summary(&dir);
 
     // The merged snapshot is valid fleet-status-v1 with consistent
     // totals: merged trials == sum over workers.
-    let snap = std::fs::read_to_string(dir.join("fleet-status.json")).unwrap();
-    let doc = Json::parse(&snap).unwrap();
+    let doc = snapshot(&dir);
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("fleet-status-v1")
@@ -164,14 +177,7 @@ fn fleet_binary_matches_single_binary() {
 #[test]
 fn killed_worker_resumes_without_gaps_or_double_counts() {
     let dir = fleet_dir("crash");
-    let out = fleet_bin()
-        .args(["--workers", "2", "--no-dashboard", "--no-worker-http"])
-        .args(["--trials", &TRIALS.to_string()])
-        .args(["--seed", &SEED.to_string()])
-        .args(["--scale", &SCALE.to_string()])
-        .args(["--threads", "1"])
-        .arg("--fleet")
-        .arg(&dir)
+    let out = coordinator(&dir, 2)
         .env("FARM_FLEET_CRASH_RANGE", "0:1")
         .output()
         .expect("spawn fleet coordinator");
@@ -182,8 +188,7 @@ fn killed_worker_resumes_without_gaps_or_double_counts() {
         "expected a respawn in:\n{stderr}"
     );
 
-    let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
-    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
+    assert_single_process_summary(&dir);
 
     // Exact coverage straight from the checkpoints: every chunk of the
     // campaign present exactly once across the range files.
@@ -199,8 +204,7 @@ fn killed_worker_resumes_without_gaps_or_double_counts() {
     assert_eq!(seen, want, "seed-range coverage broken after resume");
 
     // The snapshot records the respawn: worker 0 took two attempts.
-    let snap = std::fs::read_to_string(dir.join("fleet-status.json")).unwrap();
-    let doc = Json::parse(&snap).unwrap();
+    let doc = snapshot(&dir);
     let workers = doc.get("workers").and_then(Json::as_array).unwrap();
     assert_eq!(
         workers[0].get("attempts").and_then(Json::as_u64),
@@ -211,17 +215,12 @@ fn killed_worker_resumes_without_gaps_or_double_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Coordinator restart: ranges that already have a valid checkpoint
-/// are not re-dispatched (attempts stays 0), in-flight ranges run, and
-/// the merged bytes are unchanged — no double counting.
-#[test]
-fn coordinator_restart_skips_checkpointed_ranges() {
-    let dir = fleet_dir("resume");
-    std::fs::create_dir_all(&dir).unwrap();
-    // First "incarnation": only worker 0's range finishes (run it
-    // directly in worker mode); the coordinator then "restarts".
-    let ranges = plan_ranges(TRIALS, 2);
-    let (lo, hi) = ranges[0];
+/// A first coordinator "incarnation" that got as far as finishing
+/// worker 0's range: run that range directly in worker mode. Returns the
+/// range's checkpoint path.
+fn finish_first_range(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let (lo, hi) = plan_ranges(TRIALS, 2)[0];
     let out = fleet_bin()
         .args(["--worker", "--range", &format!("{lo}:{hi}")])
         .args(["--trials", &TRIALS.to_string()])
@@ -229,25 +228,97 @@ fn coordinator_restart_skips_checkpointed_ranges() {
         .args(["--scale", &SCALE.to_string()])
         .args(["--threads", "1"])
         .arg("--fleet")
-        .arg(&dir)
+        .arg(dir)
         .output()
         .expect("spawn fleet worker");
     assert!(out.status.success(), "worker failed: {out:?}");
+    fleet::result_path(dir, lo, hi)
+}
 
-    let out = run_coordinator(&dir, 2);
+/// Restart a 2-worker coordinator on `dir` and check the merged bytes
+/// and totals; returns the per-worker `attempts` and its stderr.
+fn restart_coordinator(dir: &Path) -> (Vec<Option<u64>>, String) {
+    let out = run_coordinator(dir, 2);
     assert!(out.status.success(), "coordinator failed: {out:?}");
-    let fleet_sum = std::fs::read_to_string(dir.join("fleet-summary.txt")).unwrap();
-    assert_eq!(fleet_sum.trim(), single_process_compact(TRIALS, 1));
-
-    let snap = std::fs::read_to_string(dir.join("fleet-status.json")).unwrap();
-    let doc = Json::parse(&snap).unwrap();
-    let workers = doc.get("workers").and_then(Json::as_array).unwrap();
-    // Checkpointed range: never spawned by the restarted coordinator.
-    assert_eq!(workers[0].get("attempts").and_then(Json::as_u64), Some(0));
-    assert_eq!(workers[0].get("done").and_then(Json::as_bool), Some(true));
-    assert_eq!(workers[1].get("attempts").and_then(Json::as_u64), Some(1));
-    // And the totals still add up: nothing ran twice.
+    assert_single_process_summary(dir);
+    let doc = snapshot(dir);
+    // The totals still add up: nothing ran twice.
     assert_eq!(doc.get("trials_done").and_then(Json::as_u64), Some(TRIALS));
+    let workers = doc.get("workers").and_then(Json::as_array).unwrap();
+    assert!(workers
+        .iter()
+        .all(|w| w.get("done").and_then(Json::as_bool) == Some(true)));
+    let attempts = workers
+        .iter()
+        .map(|w| w.get("attempts").and_then(Json::as_u64))
+        .collect();
+    (attempts, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Coordinator restart: ranges that already have a valid checkpoint
+/// are not re-dispatched (attempts stays 0), in-flight ranges run, and
+/// the merged bytes are unchanged — no double counting.
+#[test]
+fn coordinator_restart_skips_checkpointed_ranges() {
+    let dir = fleet_dir("resume");
+    finish_first_range(&dir);
+    let (attempts, _) = restart_coordinator(&dir);
+    // Checkpointed range: never spawned by the restarted coordinator.
+    assert_eq!(attempts, [Some(0), Some(1)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Coordinator restart over a checkpoint cut short before its `done`
+/// line (a partial write): the checkpoint is ignored with one warning,
+/// the range runs again, and the merged bytes are unchanged.
+#[test]
+fn coordinator_restart_reruns_a_truncated_checkpoint() {
+    let dir = fleet_dir("truncated");
+    let path = finish_first_range(&dir);
+    let body = std::fs::read_to_string(&path).unwrap();
+    let cut = body.strip_suffix("done\n").expect("a complete checkpoint");
+    std::fs::write(&path, cut).unwrap();
+    let (attempts, stderr) = restart_coordinator(&dir);
+    assert_eq!(attempts, [Some(1), Some(1)]);
+    assert_eq!(
+        stderr.matches("ignoring checkpoint").count(),
+        1,
+        "want one warning in:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failing observer never stops the campaign: with the `--http` port
+/// already held and `fleet-status.json` blocked by a directory, the
+/// coordinator warns once for each, leaves no temp file behind, and
+/// still writes the single-process summary.
+#[test]
+fn observer_failures_warn_once_and_the_campaign_finishes() {
+    let dir = fleet_dir("observers");
+    std::fs::create_dir_all(dir.join("fleet-status.json")).unwrap();
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    let out = coordinator(&dir, 2)
+        .args(["--http", &addr])
+        .output()
+        .expect("spawn fleet coordinator");
+    assert!(out.status.success(), "coordinator failed: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for warning in ["cannot serve HTTP on", "cannot write fleet snapshot"] {
+        assert_eq!(
+            stderr.matches(warning).count(),
+            1,
+            "want one {warning:?} in:\n{stderr}"
+        );
+    }
+    assert_single_process_summary(&dir);
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.contains(".tmp."))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    drop(held);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
