@@ -121,8 +121,9 @@ pub struct GroupLayout {
     /// `bulk_counts` and the spans are stale. The incremental
     /// `push_group` path keeps the index live throughout.
     index_built: bool,
-    /// Per-disk block counts from the bulk histogram (valid while the
-    /// index is deferred) and the scatter cursors that consume them.
+    /// Per-disk block counts kept by the bulk placement loop (valid
+    /// while the index is deferred) and the scatter cursors that
+    /// consume them.
     /// Kept on the struct so the per-trial rebuild reuses allocations.
     bulk_counts: Vec<u32>,
     bulk_cursors: Vec<u32>,
@@ -301,12 +302,12 @@ impl GroupLayout {
 
     // ----- bulk initial placement --------------------------------------
 
-    /// Switch initial placement to bulk mode: size `homes` so the
-    /// placement loop writes each group's homes in place via
-    /// [`GroupLayout::group_homes_mut`] — no intermediate buffer, no
-    /// per-block `Vec` pushes. The reverse index is not touched until
-    /// [`GroupLayout::finish_bulk_placement`]; nothing reads it during
-    /// initial placement.
+    /// Switch initial placement to bulk mode: size `homes` and zero the
+    /// per-disk block counts, so the placement loop writes each group's
+    /// homes in place via [`GroupLayout::bulk_group_mut`] — no
+    /// intermediate buffer, no per-block `Vec` pushes. The reverse index
+    /// is not touched until [`GroupLayout::build_reverse_index`]; nothing
+    /// reads it during initial placement.
     pub fn begin_bulk_placement(&mut self) {
         debug_assert_eq!(
             self.pushed_groups, 0,
@@ -315,55 +316,45 @@ impl GroupLayout {
         let blocks = self.n_groups as usize * self.blocks_per_group as usize;
         self.homes.clear();
         self.homes.resize(blocks, DiskId(0));
+        self.bulk_counts.clear();
+        self.bulk_counts.resize(self.spans.len(), 0);
     }
 
-    /// The writable homes slot of `group` during bulk placement.
+    /// The writable homes slot of `group` during bulk placement, and the
+    /// per-disk block counts. The caller adds each home it writes to the
+    /// counts: they become the deferred load histogram.
     #[inline]
-    pub fn group_homes_mut(&mut self, group: u32) -> &mut [DiskId] {
+    pub fn bulk_group_mut(&mut self, group: u32) -> (&mut [DiskId], &mut [u32]) {
         let n = self.blocks_per_group as usize;
-        &mut self.homes[group as usize * n..(group as usize + 1) * n]
+        let g = group as usize;
+        (&mut self.homes[g * n..(g + 1) * n], &mut self.bulk_counts)
     }
 
-    /// [`GroupLayout::record_walk_prefix`] straight from a bulk-placed
-    /// group's homes slot, for callers that filled it in place.
-    #[inline]
-    pub fn record_walk_prefix_of(&mut self, group: u32) {
-        let n = self.blocks_per_group as usize;
-        let start = group as usize * n;
-        self.walk_memo[start..start + n].copy_from_slice(&self.homes[start..start + n]);
-        self.walk_gen[group as usize] = self.memo_gen;
-    }
-
-    /// Memoize every group's walk prefix as its current homes in two
-    /// bulk array copies. Valid only right after an *unfiltered* bulk
-    /// placement, where each group's homes are exactly the first
-    /// `blocks_per_group` emissions of its walk — the optimistic
-    /// placement path's closing step.
-    pub fn memoize_all_walk_prefixes(&mut self) {
-        self.walk_memo.copy_from_slice(&self.homes);
-        self.walk_gen.fill(self.memo_gen);
-    }
-
-    /// Finish bulk placement: mark every group pushed and take the
-    /// per-disk load histogram in one pass over `homes`. The reverse
-    /// index itself is NOT built here — setup only needs per-disk
-    /// *counts* (capacity check, byte commit), so the arena scatter is
-    /// deferred to [`GroupLayout::build_reverse_index`], which the
-    /// first failure of the trial triggers from inside the event loop.
-    /// A histogram increment per block is ~3x cheaper than the scatter,
-    /// and trials that never lose a disk skip the scatter entirely.
+    /// Finish bulk placement: mark every group pushed and serve per-disk
+    /// loads from the counts the placement loop kept. The reverse index
+    /// itself is NOT built here — setup only needs per-disk *counts*
+    /// (the byte commit), so the arena scatter is deferred to
+    /// [`GroupLayout::build_reverse_index`], which the first failure of
+    /// the trial triggers from inside the event loop. Trials that never
+    /// lose a disk skip the scatter entirely.
     pub fn finish_bulk_placement(&mut self) {
         debug_assert_eq!(
+            self.bulk_counts.iter().map(|&c| c as usize).sum::<usize>(),
             self.homes.len(),
-            self.n_groups as usize * self.blocks_per_group as usize
+            "every bulk-placed home is counted once"
         );
         self.pushed_groups = self.n_groups;
         self.index_built = false;
-        self.bulk_counts.clear();
-        self.bulk_counts.resize(self.spans.len(), 0);
-        for &d in &self.homes {
-            self.bulk_counts[d.0 as usize] += 1;
-        }
+    }
+
+    /// Memoize the walk prefixes of groups `0..groups` as their current
+    /// homes, in one copy. Valid only for bulk-placed groups whose homes
+    /// are exactly the first `blocks_per_group` emissions of their walk
+    /// — the unfiltered prefix of initial placement.
+    pub fn memoize_walk_prefixes(&mut self, groups: u32) {
+        let end = groups as usize * self.blocks_per_group as usize;
+        self.walk_memo[..end].copy_from_slice(&self.homes[..end]);
+        self.walk_gen[..groups as usize].fill(self.memo_gen);
     }
 
     /// Blocks currently homed on `disk`, as a count. Valid in both
@@ -647,6 +638,16 @@ mod tests {
         l
     }
 
+    /// Bulk-place `homes` as `group`, counting each home as the
+    /// placement loop does.
+    fn bulk_place(l: &mut GroupLayout, group: u32, homes: &[DiskId]) {
+        let (slot, counts) = l.bulk_group_mut(group);
+        slot.copy_from_slice(homes);
+        for h in homes {
+            counts[h.0 as usize] += 1;
+        }
+    }
+
     #[test]
     fn bulk_placement_matches_push_group() {
         let n_disks = 7u32;
@@ -656,13 +657,17 @@ mod tests {
         for g in 0..16u32 {
             let homes = [d(g % 7), d((g + 2) % 7), d((g + 5) % 7)];
             inc.push_group(&homes);
-            bulk.group_homes_mut(g).copy_from_slice(&homes);
-            bulk.record_walk_prefix_of(g);
+            bulk_place(&mut bulk, g, &homes);
         }
         bulk.finish_bulk_placement();
+        bulk.memoize_walk_prefixes(10);
         for g in 0..16u32 {
             assert_eq!(inc.homes_of(g), bulk.homes_of(g));
-            assert_eq!(bulk.walk_prefix(g), bulk.homes_of(g));
+            if g < 10 {
+                assert_eq!(bulk.walk_prefix(g), bulk.homes_of(g));
+            } else {
+                assert!(bulk.walk_prefix(g).is_empty());
+            }
         }
         for disk in 0..n_disks {
             // Histogram loads agree before the index materializes...
@@ -688,7 +693,7 @@ mod tests {
         let mut l = GroupLayout::new(40, 2, 16);
         l.begin_bulk_placement();
         for g in 0..40u32 {
-            l.group_homes_mut(g).copy_from_slice(&[d(3), d(3)]);
+            bulk_place(&mut l, g, &[d(3), d(3)]);
         }
         l.finish_bulk_placement();
         assert_eq!(l.disk_load(d(3)), 80);

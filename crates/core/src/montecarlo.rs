@@ -814,7 +814,7 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
         match farm_obs::open_batch_file(&spec.path) {
             Ok((mut f, fresh, batch)) => {
                 let body = bands.render(batch, spec.json(), fresh);
-                let _ = f.write_all(body.as_bytes());
+                warn_write("timeline", &spec.path, f.write_all(body.as_bytes()));
             }
             Err(e) => {
                 diag::warn_once(
@@ -830,11 +830,11 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
         // file distinguishes "no losses" from "post-mortems not on".
         match farm_obs::open_batch_file(path) {
             Ok((mut f, _, _)) => {
-                for (_, a) in &artifacts {
-                    for line in &a.postmortems {
-                        let _ = writeln!(f, "{line}");
-                    }
-                }
+                let res = artifacts
+                    .iter()
+                    .flat_map(|(_, a)| &a.postmortems)
+                    .try_for_each(|line| writeln!(f, "{line}"));
+                warn_write("post-mortem", path, res);
             }
             Err(e) => {
                 diag::warn_once(
@@ -854,7 +854,7 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
                             s.render_jsonl(&mut body, batch, label, *t);
                         }
                     }
-                    let _ = f.write_all(body.as_bytes());
+                    warn_write("spans", &spec.path, f.write_all(body.as_bytes()));
                 }
                 Err(e) => {
                     diag::warn_once(
@@ -880,13 +880,12 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
         }
     }
     if let Some(spec) = &obs.trace {
-        let traces = artifacts.iter().filter_map(|(_, a)| a.trace.as_deref());
+        let mut traces = artifacts.iter().filter_map(|(_, a)| a.trace.as_deref());
         match &spec.path {
             Some(p) => match farm_obs::open_batch_file(p) {
                 Ok((mut f, _, _)) => {
-                    for tr in traces {
-                        let _ = f.write_all(tr);
-                    }
+                    let res = traces.try_for_each(|tr| f.write_all(tr));
+                    warn_write("trace", p, res);
                 }
                 Err(e) => {
                     diag::warn_once("trace-open", &format!("cannot open trace sink {p:?}: {e}"));
@@ -899,6 +898,17 @@ fn emit_artifacts(obs: &ObsOptions, label: &str, mut artifacts: Vec<(u64, TrialA
                 }
             }
         }
+    }
+}
+
+/// Warn once per sink when writing a batch artifact fails (a full disk,
+/// say). The batch's results are already folded, so they are unchanged.
+fn warn_write(sink: &str, path: &str, res: std::io::Result<()>) {
+    if let Err(e) = res {
+        diag::warn_once(
+            &format!("{sink}-write"),
+            &format!("cannot write {sink} output {path:?}: {e}"),
+        );
     }
 }
 

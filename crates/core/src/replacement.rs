@@ -8,7 +8,6 @@
 //! placement function migrates the batch's fair share of data onto it.
 
 use crate::sim::Simulation;
-use farm_placement::DiskId;
 
 impl Simulation {
     /// Check the replacement threshold and add a batch if crossed.
@@ -58,11 +57,20 @@ impl Simulation {
         let block_bytes = self.prepared().block_bytes;
         let rush = self.rush();
         let mut moved = 0u64;
+        // The walk holds the scratch mutably while the loop body consults
+        // `&self` accessors, so lift it out of the struct for the
+        // duration; it is put back after the loop (no early returns).
+        let mut scratch = std::mem::take(&mut self.rush_scratch);
+        let mut new_homes = Vec::with_capacity(n);
         for g in 0..self.layout().n_groups() {
             if self.layout().is_dead(g) {
                 continue;
             }
-            let new_homes = rush.place(self.cluster_map(), g as u64, n);
+            new_homes.clear();
+            new_homes.extend(
+                rush.walk(self.cluster_map(), g as u64, &mut scratch)
+                    .take(n),
+            );
             for (idx, &new_home) in new_homes.iter().enumerate() {
                 if new_home.0 < first_new {
                     continue; // not remapped into the batch
@@ -85,17 +93,7 @@ impl Simulation {
                 moved += 1;
             }
         }
+        self.rush_scratch = scratch;
         self.metrics_mut().migrated_blocks += moved;
-    }
-
-    /// Disks belonging to replacement batches (everything after the
-    /// initial sub-cluster).
-    pub fn batch_disks(&self) -> Vec<DiskId> {
-        let map = self.cluster_map();
-        if map.n_clusters() <= 1 {
-            return Vec::new();
-        }
-        let first_batch = map.cluster(1).first;
-        (first_batch..map.n_disks()).map(DiskId).collect()
     }
 }

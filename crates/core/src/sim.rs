@@ -335,19 +335,24 @@ impl Simulation {
         id
     }
 
-    /// Initial data placement: every group's n blocks go to the first n
-    /// RUSH candidates with room (capacity is a hard constraint; on
-    /// paper-scale systems at 40% utilization the first n candidates
-    /// essentially always fit).
+    /// Initial data placement (§2.2, §3.1): every group's n blocks go to
+    /// the first n RUSH candidates with room, in group order — capacity
+    /// is a hard constraint.
     ///
-    /// Fast path: all disks start empty, identically sized and active,
-    /// so while `max_used + block_bytes <= capacity` — a conservative
-    /// watermark over the fullest disk — `has_space_for` provably holds
-    /// for *every* candidate and the per-candidate check (a dependent
-    /// random-access load into the disk table) is skipped. Bit-identical
-    /// by construction: the skipped check always returned `true`. At the
-    /// paper's 40% utilization the slow path never triggers; it exists
-    /// for adversarially full configurations.
+    /// One pass keeps per-disk block counts and the fullest disk's count.
+    /// Every disk starts empty, active and equally sized, so a disk has
+    /// room for a block exactly when its count is below
+    /// `slots = capacity / block_bytes`:
+    ///
+    /// * **Unfiltered prefix.** While the fullest disk has a free slot,
+    ///   every candidate has room, so a group takes its walk's first n
+    ///   emissions with no per-candidate check.
+    /// * **Filtered tail.** The fullest count never decreases, so from
+    ///   the first group that finds a full disk on, every group walks
+    ///   with the space filter `count < slots`. Large blocks leave few
+    ///   slots per disk, so RUSH's uneven load reaches this tail: 16 of
+    ///   farmbench's 24 Figure 3 points do in some or all trials, while
+    ///   the paper's 1 GiB groups never do.
     ///
     /// Batched engine: with [`kernel::engine_enabled`] and a uniform
     /// (single-cluster) map, rounds of [`kernel::LANES`] groups prehash
@@ -357,47 +362,24 @@ impl Simulation {
     /// sequential fold, so the emitted candidate sequence — and hence
     /// every trial artifact — is byte-identical to the engine-off walk
     /// by construction (pinned by `tests/placement_kernel_identity.rs`).
-    /// Fast-path groups also memoize their walk prefix in the layout so
-    /// recovery-target walks resume from the cached frontier instead of
-    /// rehashing the placement draws.
+    /// The unfiltered prefix's homes are its walks' first n emissions,
+    /// so the engine memoizes them as walk prefixes: recovery-target
+    /// walks resume from the cached frontier instead of rehashing it.
+    /// The counts become the layout's deferred load histogram, and each
+    /// disk is charged once.
     fn place_all_groups(&mut self) {
-        if self.place_all_groups_throughput() {
-            return;
-        }
-        // Some disk came within one block of capacity, so the optimistic
-        // run cannot prove it matches the per-group capacity checks of
-        // the sequential specification. Discard it (the reset drops the
-        // layout and its walk memos; disks were never charged) and
-        // replay with full tracking — identical output in every
-        // configuration both paths complete, because the optimistic run
-        // only commits when every group would have taken the careful
-        // path's capacity fast branch anyway.
-        let (n_groups, bpg, n_disks) = (
-            self.layout.n_groups(),
-            self.layout.blocks_per_group(),
-            self.layout.n_disks(),
-        );
-        self.layout.reset(n_groups, bpg, n_disks);
-        self.place_all_groups_careful();
-    }
-
-    /// The optimistic bulk fast path: place every group with no per-block
-    /// disk accounting, build the reverse index in one pass, then charge
-    /// disks from their span lengths — provided no disk ended within one
-    /// block of capacity (the paper's 40 % utilization never comes
-    /// close). Returns false, leaving the disks untouched, when that
-    /// margin is violated and the careful replay must decide.
-    fn place_all_groups_throughput(&mut self) -> bool {
         let n = self.cfg.scheme.n as usize;
         let block_bytes = self.cfg.block_bytes;
-        let capacity = self.cfg.disk_capacity;
+        let slots = (self.cfg.disk_capacity / block_bytes).min(u32::MAX as u64) as u32;
         let n_groups = self.layout.n_groups();
         let engine = kernel::engine_enabled() && self.map.n_clusters() == 1;
         let mut hashes = std::mem::take(&mut self.place_hashes);
         // Homes are written straight into the layout's bulk slots; the
-        // reverse index is built in one pass at the end (same per-disk
-        // block order as the incremental path, so identical artifacts).
+        // reverse index is built from them when first needed.
         self.layout.begin_bulk_placement();
+        let mut max_load = 0u32;
+        // The first group of the filtered tail (n_groups: none).
+        let mut tail_start = n_groups;
         let lanes = kernel::LANES as u32;
         // Strips of STRIP_ROUNDS lane-rounds per kernel call amortize
         // dispatch, constant broadcasts and in-kernel key folding; the
@@ -408,6 +390,10 @@ impl Simulation {
         let mut g = 0u32;
         while g < n_groups {
             let rounds = ((n_groups - g) / lanes).min(STRIP_ROUNDS);
+            // One emission consumes exactly one candidate index, so `n`
+            // prehashed indices per lane cover every collision-free
+            // walk; a lane only outruns its prehash when attempt-0 draws
+            // collide, and then only past the prehashed range.
             let prehashed = engine && rounds > 0;
             let strip_groups = if prehashed {
                 hashes.resize(rounds as usize * row, 0);
@@ -424,162 +410,54 @@ impl Simulation {
                 } else {
                     PreDraws::empty()
                 };
-                let filled = prehashed
-                    && self.rush.fill_prehashed(
-                        &self.map,
-                        &mut self.rush_scratch,
-                        pre,
-                        self.layout.group_homes_mut(gi),
-                    );
+                let filtered = max_load >= slots;
+                if filtered {
+                    tail_start = tail_start.min(gi);
+                }
+                let (slot, counts) = self.layout.bulk_group_mut(gi);
+                let filled = !filtered
+                    && prehashed
+                    && self
+                        .rush
+                        .fill_prehashed(&self.map, &mut self.rush_scratch, pre, slot);
                 if !filled {
-                    // Engine off, or an attempt-0 collision: the generic
-                    // walk re-begins the scratch and emits the identical
-                    // sequence.
-                    let slot = self.layout.group_homes_mut(gi);
+                    // Engine off, an attempt-0 collision, or the filtered
+                    // tail: the generic walk re-begins the scratch and
+                    // emits the identical sequence.
                     let walk =
                         self.rush
                             .walk_prehashed(&self.map, gi as u64, &mut self.rush_scratch, pre);
                     let mut got = 0;
                     for d in walk {
-                        slot[got] = d;
-                        got += 1;
-                        if got == n {
-                            break;
+                        if !filtered || counts[d.0 as usize] < slots {
+                            slot[got] = d;
+                            got += 1;
+                            if got == n {
+                                break;
+                            }
                         }
                     }
                     assert_eq!(got, n, "system too full to place group {gi}");
                 }
+                for &d in slot.iter() {
+                    let c = &mut counts[d.0 as usize];
+                    *c += 1;
+                    max_load = max_load.max(*c);
+                }
             }
             g += strip_groups;
         }
-        self.layout.finish_bulk_placement();
         self.place_hashes = hashes;
-        let mut max_blocks = 0u64;
-        for di in 0..self.layout.n_disks() {
-            max_blocks = max_blocks.max(self.layout.disk_load(DiskId(di)) as u64);
-        }
-        if max_blocks * block_bytes + block_bytes > capacity {
-            return false;
-        }
-        // Unfiltered placement means every group's homes are its walk's
-        // first n emissions — the whole homes array is a valid memo.
+        self.layout.finish_bulk_placement();
         if engine {
-            self.layout.memoize_all_walk_prefixes();
+            self.layout.memoize_walk_prefixes(tail_start);
         }
         for (di, disk) in self.disks.iter_mut().enumerate() {
-            let bytes = self.layout.disk_load(DiskId(di as u32)) as u64 * block_bytes;
-            if bytes > 0 {
-                disk.allocate(bytes);
+            let load = self.layout.disk_load(DiskId(di as u32)) as u64;
+            if load > 0 {
+                disk.allocate(load * block_bytes);
             }
         }
-        true
-    }
-
-    /// The sequential specification: per-group capacity fast-path check,
-    /// per-block disk charging, space-filtered walks once any disk is
-    /// within one block of full. Only runs when
-    /// [`Simulation::place_all_groups_throughput`] bails.
-    fn place_all_groups_careful(&mut self) {
-        let n = self.cfg.scheme.n as usize;
-        let block_bytes = self.cfg.block_bytes;
-        let capacity = self.cfg.disk_capacity;
-        let n_groups = self.layout.n_groups();
-        let engine = kernel::engine_enabled() && self.map.n_clusters() == 1;
-        let mut hashes = std::mem::take(&mut self.place_hashes);
-        self.layout.begin_bulk_placement();
-        let mut max_used = 0u64;
-        let lanes = kernel::LANES as u32;
-        const STRIP_ROUNDS: u32 = 16;
-        let prefix = self.rush.key_prefix();
-        let row = n * kernel::LANES;
-        let mut g = 0u32;
-        while g < n_groups {
-            let rounds = ((n_groups - g) / lanes).min(STRIP_ROUNDS);
-            // One emission consumes exactly one candidate index, so `n`
-            // prehashed indices per lane cover every fast-path walk; a
-            // lane only outruns its prehash when attempt-0 draws collide,
-            // and then only past the prehashed range.
-            let prehashed = engine && rounds > 0;
-            let strip_groups = if prehashed {
-                hashes.resize(rounds as usize * row, 0);
-                kernel::draw_hashes_strip(prefix, g as u64, rounds as usize, n, &mut hashes);
-                rounds * lanes
-            } else {
-                n_groups - g
-            };
-            for s in 0..strip_groups {
-                let gi = g + s;
-                let pre = if prehashed {
-                    let r = (s / lanes) as usize;
-                    PreDraws::new(&hashes[r * row..(r + 1) * row], (s % lanes) as usize)
-                } else {
-                    PreDraws::empty()
-                };
-                if max_used + block_bytes <= capacity {
-                    let filled = prehashed
-                        && self.rush.fill_prehashed(
-                            &self.map,
-                            &mut self.rush_scratch,
-                            pre,
-                            self.layout.group_homes_mut(gi),
-                        );
-                    if !filled {
-                        // Engine off, or an attempt-0 collision: the
-                        // generic walk re-begins the scratch and emits
-                        // the identical sequence.
-                        let slot = self.layout.group_homes_mut(gi);
-                        let walk = self.rush.walk_prehashed(
-                            &self.map,
-                            gi as u64,
-                            &mut self.rush_scratch,
-                            pre,
-                        );
-                        let mut got = 0;
-                        for d in walk {
-                            slot[got] = d;
-                            got += 1;
-                            if got == n {
-                                break;
-                            }
-                        }
-                        assert_eq!(got, n, "system too full to place group {gi}");
-                    }
-                    // On the fast path the slot holds exactly the walk's
-                    // first n emissions in order — a valid resume
-                    // prefix. (The slow path filters, so its homes are
-                    // not; those groups just stay unmemoized.)
-                    if engine {
-                        self.layout.record_walk_prefix_of(gi);
-                    }
-                } else {
-                    let slot = self.layout.group_homes_mut(gi);
-                    let walk =
-                        self.rush
-                            .walk_prehashed(&self.map, gi as u64, &mut self.rush_scratch, pre);
-                    let mut got = 0;
-                    for d in walk {
-                        if self.disks[d.0 as usize].has_space_for(block_bytes) {
-                            slot[got] = d;
-                            got += 1;
-                            if got == n {
-                                break;
-                            }
-                        }
-                    }
-                    assert_eq!(got, n, "system too full to place group {gi}");
-                }
-                for &d in self.layout.homes_of(gi) {
-                    let disk = &mut self.disks[d.0 as usize];
-                    disk.allocate(block_bytes);
-                    if disk.used > max_used {
-                        max_used = disk.used;
-                    }
-                }
-            }
-            g += strip_groups;
-        }
-        self.layout.finish_bulk_placement();
-        self.place_hashes = hashes;
     }
 
     // ----- accessors -----------------------------------------------------

@@ -34,7 +34,6 @@
 //! assert!(codec.reconstruct(&mut blocks));
 //! ```
 
-pub mod evenodd;
 pub mod gf256;
 pub mod matrix;
 pub mod mirror;
@@ -42,6 +41,5 @@ pub mod reed_solomon;
 pub mod scheme;
 pub mod xor;
 
-pub use evenodd::EvenOdd;
 pub use reed_solomon::{CodeError, ReedSolomon};
 pub use scheme::{Codec, Scheme};

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
@@ -67,23 +67,45 @@ pub fn open_batch_file(path: &str) -> io::Result<(File, bool, u64)> {
 /// `{path}.tmp.{pid}` in the same directory, then rename it over `path`,
 /// so a reader sees the previous document or the new one, never a torn
 /// write, and two processes never share a temp file. On failure the
-/// temp file is removed.
+/// temp file is removed. The temp file is synced before the rename and
+/// the directory after it, so the new document — not an empty or
+/// missing one — is what survives a power loss.
 pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> io::Result<()> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    let res = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let res = File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes.as_ref())?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
     if res.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    res
+    res?;
+    sync_parent_dir(path)
+}
+
+/// Sync the directory holding `path`, making a rename into it durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
 
     #[test]
     fn first_open_truncates_then_appends_with_batch_ids() {

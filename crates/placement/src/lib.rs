@@ -11,10 +11,12 @@
 //! * [`ClusterMap`] — the system topology as an ordered list of weighted
 //!   sub-clusters (how large systems actually grow, one batch at a time),
 //! * [`Rush`] — the placement function: deterministic, balanced,
-//!   minimally-migrating on growth, with distinct candidates per group.
+//!   minimally-migrating on growth, with distinct candidates per group,
+//! * [`Walk`] — the one candidate iterator, deduplicating through a
+//!   caller-held [`RushScratch`] so a loop of walks never allocates.
 //!
 //! ```
-//! use farm_placement::{ClusterMap, Rush};
+//! use farm_placement::{ClusterMap, Rush, RushScratch};
 //!
 //! let mut map = ClusterMap::uniform(1000);
 //! let rush = Rush::new(0xFA12);
@@ -24,7 +26,8 @@
 //!
 //! // After a failure, FARM keeps walking the same candidate list to find
 //! // a recovery target.
-//! let next = rush.candidates(&map, 42).nth(2).unwrap();
+//! let mut scratch = RushScratch::new();
+//! let next = rush.walk(&map, 42, &mut scratch).nth(2).unwrap();
 //! assert!(!homes.contains(&next));
 //!
 //! // Growing the system by a batch of 100 drives leaves most placements
@@ -39,4 +42,4 @@ pub mod kernel;
 pub mod rush;
 
 pub use cluster::{ClusterMap, DiskId, SubCluster};
-pub use rush::{Candidates, PreDraws, Rush, RushScratch, Walk};
+pub use rush::{PreDraws, Rush, RushScratch, Walk};

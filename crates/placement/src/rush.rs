@@ -62,25 +62,6 @@ impl Rush {
         self.prefix
     }
 
-    /// The infinite-until-exhausted ordered candidate list for a group.
-    ///
-    /// Self-contained: owns its dedup state, allocating one stamp array
-    /// per call. Hot paths that walk candidates per group or per rebuild
-    /// should hold a [`RushScratch`] and use [`Rush::walk`] instead,
-    /// which emits the identical sequence without allocating.
-    pub fn candidates<'a>(&self, map: &'a ClusterMap, group: u64) -> Candidates<'a> {
-        let mut scratch = RushScratch::new();
-        scratch.begin(map.n_disks());
-        Candidates {
-            rush: *self,
-            map,
-            group,
-            gkey: self.group_key(group),
-            index: 0,
-            scratch,
-        }
-    }
-
     /// The per-group folded hash key, `combine(hash_prefix(seed),
     /// group)` — the state every candidate index extends. Exposed so
     /// the batched engine can build lane keys for
@@ -90,11 +71,11 @@ impl Rush {
         hash::combine(self.prefix, group)
     }
 
-    /// [`Rush::candidates`] without the allocation: dedup state lives in
-    /// the caller's reusable `scratch` (reset here, O(1) amortized), so
-    /// a walk costs only hashing. The emitted sequence is bit-identical
-    /// to `candidates` — both run the same draw-and-dedup loop, and the
-    /// golden-sequence test pins them together.
+    /// The group's ordered candidate list, infinite until every disk is
+    /// listed. Dedup state lives in the caller's reusable `scratch`
+    /// (reset here, O(1) amortized), so a walk costs only hashing; hot
+    /// paths hold one scratch for every walk. The golden-sequence test
+    /// pins the emitted sequence to a plain `Vec`-dedup reference.
     pub fn walk<'m, 's>(
         &self,
         map: &'m ClusterMap,
@@ -213,14 +194,18 @@ impl Rush {
         true
     }
 
-    /// First `n` candidates: the homes of the group's `n` blocks.
+    /// First `n` candidates: the homes of the group's `n` blocks. A
+    /// walk over a one-off scratch — loops should hold a
+    /// [`RushScratch`] and call [`Rush::walk`] instead.
     pub fn place(&self, map: &ClusterMap, group: u64, n: usize) -> Vec<DiskId> {
         assert!(
             n as u64 <= map.n_disks() as u64,
             "cannot place {n} blocks on {} disks",
             map.n_disks()
         );
-        self.candidates(map, group).take(n).collect()
+        self.walk(map, group, &mut RushScratch::new())
+            .take(n)
+            .collect()
     }
 
     /// One raw draw: candidate `index`, attempt `attempt` for `group` —
@@ -365,93 +350,8 @@ impl<'a> PreDraws<'a> {
     }
 }
 
-/// One step of the distinct-candidate sequence. Shared by both iterator
-/// types so their output cannot diverge.
-fn next_distinct(
-    rush: Rush,
-    map: &ClusterMap,
-    group: u64,
-    gkey: u64,
-    index: &mut u64,
-    scratch: &mut RushScratch,
-    pre: PreDraws<'_>,
-) -> Option<DiskId> {
-    let n = map.n_disks();
-    if scratch.emitted >= n {
-        return None; // every disk already listed
-    }
-    // Attempt 0 first — from the batch-prehashed buffer when it covers
-    // this index (the kernels fold the identical chain, so this is the
-    // very hash the sequential path below would compute), from the fold
-    // otherwise. On the collision-free fast path this is the whole draw.
-    let d0 = match pre.get(*index) {
-        Some(within) => map.single_cluster_disk(within),
-        None => Rush::draw_with_prefix(map, hash::combine(hash::combine(gkey, *index), 0)),
-    };
-    if scratch.mark(d0) {
-        *index += 1;
-        return Some(d0);
-    }
-    // `gkey` is combine(hash_prefix(seed), group), folded once per walk;
-    // the candidate index folds once per candidate, each attempt appends
-    // one more word.
-    let key = hash::combine(gkey, *index);
-    for attempt in 1..MAX_ATTEMPTS {
-        let d = Rush::draw_with_prefix(map, hash::combine(key, attempt as u64));
-        if scratch.mark(d) {
-            *index += 1;
-            return Some(d);
-        }
-    }
-    // Deterministic fallback: probe linearly from a hashed start.
-    // Only reachable when the candidate list is nearly system-sized.
-    scratch.fallback_probes += 1;
-    let start = hash::hash_words(rush.seed, &[group, *index, 0xFA11]) % n as u64;
-    for off in 0..n {
-        let d = DiskId(((start + off as u64) % n as u64) as u32);
-        if scratch.mark(d) {
-            *index += 1;
-            return Some(d);
-        }
-    }
-    None
-}
-
-/// Iterator over a group's distinct candidate disks (owns its scratch).
-pub struct Candidates<'a> {
-    rush: Rush,
-    map: &'a ClusterMap,
-    group: u64,
-    gkey: u64,
-    index: u64,
-    scratch: RushScratch,
-}
-
-impl Candidates<'_> {
-    /// See [`RushScratch::fallback_probes`].
-    pub fn fallback_probes(&self) -> u64 {
-        self.scratch.fallback_probes()
-    }
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = DiskId;
-
-    fn next(&mut self) -> Option<DiskId> {
-        next_distinct(
-            self.rush,
-            self.map,
-            self.group,
-            self.gkey,
-            &mut self.index,
-            &mut self.scratch,
-            PreDraws::empty(),
-        )
-    }
-}
-
 /// Iterator over a group's distinct candidate disks, deduplicating
-/// through a borrowed [`RushScratch`] — the allocation-free hot path.
+/// through a borrowed [`RushScratch`].
 pub struct Walk<'m, 's> {
     rush: Rush,
     map: &'m ClusterMap,
@@ -465,6 +365,19 @@ pub struct Walk<'m, 's> {
     /// Batch-prehashed attempt-0 draws (see [`Rush::walk_prehashed`]);
     /// empty on plain walks.
     pre: PreDraws<'m>,
+}
+
+impl Walk<'_, '_> {
+    /// Emit `d` as the next candidate if this walk has not listed it yet.
+    #[inline]
+    fn emit(&mut self, d: DiskId) -> Option<DiskId> {
+        if self.scratch.mark(d) {
+            self.index += 1;
+            Some(d)
+        } else {
+            None
+        }
+    }
 }
 
 impl Iterator for Walk<'_, '_> {
@@ -483,15 +396,39 @@ impl Iterator for Walk<'_, '_> {
             self.index += 1;
             return Some(d);
         }
-        next_distinct(
-            self.rush,
-            self.map,
-            self.group,
-            self.gkey,
-            &mut self.index,
-            self.scratch,
-            self.pre,
-        )
+        let map = self.map;
+        let n = map.n_disks();
+        if self.scratch.emitted >= n {
+            return None; // every disk already listed
+        }
+        // Attempt 0 first — from the batch-prehashed buffer when it covers
+        // this index (the kernels fold the identical chain, so this is the
+        // very hash the sequential path below would compute), from the fold
+        // otherwise. On the collision-free fast path this is the whole draw.
+        let d0 = match self.pre.get(self.index) {
+            Some(within) => map.single_cluster_disk(within),
+            None => {
+                Rush::draw_with_prefix(map, hash::combine(hash::combine(self.gkey, self.index), 0))
+            }
+        };
+        if let Some(d) = self.emit(d0) {
+            return Some(d);
+        }
+        // `gkey` is combine(hash_prefix(seed), group), folded once per walk;
+        // the candidate index folds once per candidate, each attempt appends
+        // one more word.
+        let key = hash::combine(self.gkey, self.index);
+        for attempt in 1..MAX_ATTEMPTS {
+            let d = Rush::draw_with_prefix(map, hash::combine(key, attempt as u64));
+            if let Some(d) = self.emit(d) {
+                return Some(d);
+            }
+        }
+        // Deterministic fallback: probe linearly from a hashed start.
+        // Only reachable when the candidate list is nearly system-sized.
+        self.scratch.fallback_probes += 1;
+        let start = hash::hash_words(self.rush.seed, &[self.group, self.index, 0xFA11]) % n as u64;
+        (0..n).find_map(|off| self.emit(DiskId(((start + off as u64) % n as u64) as u32)))
     }
 }
 
@@ -500,10 +437,10 @@ mod tests {
     use super::*;
     use farm_des::stats::coefficient_of_variation;
 
-    /// The pre-scratch candidate iterator, verbatim: `Vec` of emitted
-    /// disks, linear `contains` dedup. The golden-sequence tests pin the
-    /// production iterators to this reference so the generation-stamp
-    /// rewrite provably emits the identical order.
+    /// The reference candidate list: `Vec` of emitted disks, linear
+    /// `contains` dedup over the readable `raw_draw`. The golden-sequence
+    /// tests pin [`Rush::walk`] to it, so the generation-stamped scratch
+    /// and the folded hash prefix provably emit the identical order.
     fn legacy_candidates(rush: &Rush, map: &ClusterMap, group: u64) -> Vec<DiskId> {
         let mut emitted: Vec<DiskId> = Vec::new();
         let mut index = 0u64;
@@ -545,12 +482,7 @@ mod tests {
                 let mut scratch = RushScratch::new();
                 for group in 0..40u64 {
                     let golden = legacy_candidates(&rush, map, group);
-                    let via_candidates: Vec<DiskId> = rush.candidates(map, group).collect();
                     let via_walk: Vec<DiskId> = rush.walk(map, group, &mut scratch).collect();
-                    assert_eq!(
-                        golden, via_candidates,
-                        "candidates diverged (map {m}, seed {seed}, group {group})"
-                    );
                     assert_eq!(
                         golden, via_walk,
                         "walk diverged (map {m}, seed {seed}, group {group})"
@@ -569,7 +501,7 @@ mod tests {
         // few walks cross it; emitted sequences must be unaffected.
         scratch.generation = u32::MAX - 2;
         for group in 0..6u64 {
-            let expected: Vec<DiskId> = rush.candidates(&map, group).take(8).collect();
+            let expected = &legacy_candidates(&rush, &map, group)[..8];
             let got: Vec<DiskId> = rush.walk(&map, group, &mut scratch).take(8).collect();
             assert_eq!(expected, got, "group {group} diverged near the wrap");
         }
@@ -584,7 +516,7 @@ mod tests {
         let mut scratch = RushScratch::new();
         let _ = rush.walk(&map, 1, &mut scratch).next();
         let full: Vec<DiskId> = rush.walk(&map, 2, &mut scratch).collect();
-        assert_eq!(full, rush.candidates(&map, 2).collect::<Vec<_>>());
+        assert_eq!(full, legacy_candidates(&rush, &map, 2));
         assert_eq!(full.len(), 64);
     }
 
@@ -596,10 +528,10 @@ mod tests {
         // this pins the branch that plain placement never reaches.
         let map = ClusterMap::uniform(512);
         let rush = Rush::new(42);
-        let mut iter = rush.candidates(&map, 0);
-        let all: Vec<DiskId> = iter.by_ref().collect();
+        let mut scratch = RushScratch::new();
+        let all: Vec<DiskId> = rush.walk(&map, 0, &mut scratch).collect();
         assert!(
-            iter.fallback_probes() > 0,
+            scratch.fallback_probes() > 0,
             "512-disk exhaustion was expected to hit the fallback probe"
         );
         assert_eq!(all.len(), 512);
@@ -610,14 +542,11 @@ mod tests {
             (0..512).collect::<Vec<_>>(),
             "fallback must stay distinct"
         );
-        // And the fallback tail is deterministic.
-        let again: Vec<DiskId> = rush.candidates(&map, 0).collect();
+        // And the fallback tail is deterministic: a second walk on the
+        // reused scratch and the reference take the identical tail.
+        let again: Vec<DiskId> = rush.walk(&map, 0, &mut scratch).collect();
         assert_eq!(all, again);
-        // The scratch-based walk takes the identical tail.
-        let mut scratch = RushScratch::new();
-        let via_walk: Vec<DiskId> = rush.walk(&map, 0, &mut scratch).collect();
-        assert_eq!(all, via_walk);
-        assert!(scratch.fallback_probes() > 0);
+        assert_eq!(all, legacy_candidates(&rush, &map, 0));
     }
 
     #[test]
@@ -740,8 +669,9 @@ mod tests {
     fn candidates_are_distinct() {
         let map = ClusterMap::uniform(40);
         let rush = Rush::new(7);
+        let mut scratch = RushScratch::new();
         for g in 0..20u64 {
-            let cands: Vec<DiskId> = rush.candidates(&map, g).take(40).collect();
+            let cands: Vec<DiskId> = rush.walk(&map, g, &mut scratch).take(40).collect();
             assert_eq!(cands.len(), 40);
             let set: std::collections::HashSet<_> = cands.iter().collect();
             assert_eq!(set.len(), 40, "group {g} repeated a candidate");
@@ -752,7 +682,7 @@ mod tests {
     fn candidate_list_exhausts_then_ends() {
         let map = ClusterMap::uniform(10);
         let rush = Rush::new(3);
-        let all: Vec<DiskId> = rush.candidates(&map, 5).collect();
+        let all: Vec<DiskId> = rush.walk(&map, 5, &mut RushScratch::new()).collect();
         assert_eq!(all.len(), 10, "must cover every disk exactly once");
         let mut sorted: Vec<u32> = all.iter().map(|d| d.0).collect();
         sorted.sort_unstable();

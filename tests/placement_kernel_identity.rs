@@ -4,10 +4,12 @@
 //! at runtime, and the engine memoizes walk prefixes that recovery
 //! replays, so a dispatch or memo bug would silently change simulation
 //! results depending on the host CPU or engine toggle. This test pins
-//! the contract: the initial layout and every trial metric must be
-//! bit-identical under every supported kernel, with the engine on or
-//! off, fresh or recycled (including recycling across configurations,
-//! which exercises memo resizing and invalidation).
+//! the contract: the initial layout must match an independent, in-test
+//! specification of §2.2's placement (first n walk candidates with
+//! room), and every trial metric must be bit-identical under every
+//! supported kernel, with the engine on or off, fresh or recycled
+//! (including recycling across configurations, which exercises memo
+//! resizing and invalidation).
 //!
 //! The CI placement-kernel matrix runs this binary once per
 //! `FARM_PLACE_KERNEL` value; the single test below first asserts that
@@ -17,9 +19,10 @@
 //! state — parallel test threads flipping them would race.
 
 use farm_core::prelude::*;
-use farm_des::rng::derive_seed;
+use farm_des::rng::{derive_seed, SeedFactory};
 use farm_disk::latent::LatentConfig;
 use farm_placement::kernel::{self, Kernel};
+use farm_placement::{DiskId, Rush, RushScratch};
 use std::sync::Arc;
 
 fn base() -> SystemConfig {
@@ -55,6 +58,17 @@ fn stressed() -> SystemConfig {
         scheme: Scheme::new(4, 6),
         hazard: farm_disk::failure::Hazard::table1().with_multiplier(4.0),
         replacement: ReplacementPolicy::at_fraction(0.04),
+        ..base()
+    }
+}
+
+/// Large mirrored blocks: a 64 GiB disk holds at most 3 of them, so
+/// RUSH's uneven per-disk load fills disks during initial placement and
+/// later groups must skip full candidates (the filtered tail).
+fn capacity_bound() -> SystemConfig {
+    SystemConfig {
+        scheme: Scheme::two_way_mirroring(),
+        group_user_bytes: 20 * GIB,
         ..base()
     }
 }
@@ -98,17 +112,51 @@ fn assert_metrics_identical(a: &TrialMetrics, b: &TrialMetrics, what: &str) {
     );
 }
 
-/// The full initial layout — every group's homes in order — as one flat
-/// vector, for exact comparison across kernels and engine settings.
-fn full_layout(cfg: &SystemConfig, seed: u64) -> Vec<u32> {
-    let sim = Simulation::new(cfg.clone(), seed);
+/// The initial placement as built by the simulator: every group's
+/// homes in order, flattened, and every disk's used bytes.
+fn placement(sim: &Simulation) -> (Vec<u32>, Vec<u64>) {
     let layout = sim.layout();
-    let mut flat =
-        Vec::with_capacity(layout.n_groups() as usize * layout.blocks_per_group() as usize);
-    for g in 0..layout.n_groups() {
-        flat.extend(layout.homes_of(g).iter().map(|d| d.0));
+    let homes = (0..layout.n_groups())
+        .flat_map(|g| layout.homes_of(g).iter().map(|d| d.0))
+        .collect();
+    let used = (0..sim.n_disks())
+        .map(|d| sim.disk(DiskId(d)).used)
+        .collect();
+    (homes, used)
+}
+
+/// The placement specification, independent of the simulator's loop:
+/// each group in order takes the first n candidates of its RUSH walk
+/// whose disk still has room for one more block. Also returns whether
+/// any candidate was turned away by a full disk.
+fn specified_placement(sim: &Simulation, seed: u64) -> ((Vec<u32>, Vec<u64>), bool) {
+    let cfg = sim.config();
+    let n = cfg.scheme.n as usize;
+    let block_bytes = sim.prepared().block_bytes;
+    let rush = Rush::new(SeedFactory::new(seed).child(0xFA).master());
+    let map = sim.cluster_map();
+    let mut used = vec![0u64; map.n_disks() as usize];
+    let mut homes = Vec::new();
+    let mut scratch = RushScratch::new();
+    let mut rejected = false;
+    for g in 0..sim.layout().n_groups() {
+        let mut got = 0;
+        for d in rush.walk(map, g as u64, &mut scratch) {
+            let u = &mut used[d.0 as usize];
+            if *u + block_bytes > cfg.disk_capacity {
+                rejected = true;
+                continue;
+            }
+            *u += block_bytes;
+            homes.push(d.0);
+            got += 1;
+            if got == n {
+                break;
+            }
+        }
+        assert_eq!(got, n, "group {g} does not fit");
     }
-    flat
+    ((homes, used), rejected)
 }
 
 #[test]
@@ -139,22 +187,31 @@ fn placement_is_byte_identical_across_kernels_and_engine_modes() {
         ("base", base()),
         ("lossy", lossy()),
         ("stressed", stressed()),
+        ("capacity_bound", capacity_bound()),
     ];
 
-    // --- full-layout equality: every group's homes, engine off (the
-    // pure sequential walk) as reference, then engine on under every
-    // supported kernel.
+    // --- initial placement against the specification: every group's
+    // homes and every disk's used bytes, engine off (the pure
+    // sequential walk) and engine on under every supported kernel.
     for (name, cfg) in &configs {
         let seed = derive_seed(0x9A7C, 1);
         kernel::set_engine_enabled(false);
-        let reference = full_layout(cfg, seed);
+        let sim = Simulation::new(cfg.clone(), seed);
+        let (spec, rejected) = specified_placement(&sim, seed);
+        // The capacity-bound shape must reach the filtered tail, or
+        // this loop would stop covering it without notice.
+        assert!(
+            rejected || *name != "capacity_bound",
+            "{name}: no candidate was rejected for a full disk"
+        );
+        assert!(placement(&sim) == spec, "{name}: engine off differs");
         kernel::set_engine_enabled(true);
         for &k in &supported {
             kernel::set_active(k);
-            assert_eq!(
-                full_layout(cfg, seed),
-                reference,
-                "{name}: initial layout differs under {k} (engine on vs off)"
+            let sim = Simulation::new(cfg.clone(), seed);
+            assert!(
+                placement(&sim) == spec,
+                "{name}: engine on under {k} differs"
             );
         }
     }
@@ -186,6 +243,7 @@ fn placement_is_byte_identical_across_kernels_and_engine_modes() {
         ("stressed->lossy", lossy()),
         ("lossy->base", base()),
         ("base->stressed", stressed()),
+        ("stressed->capacity_bound", capacity_bound()),
     ];
     let mut ws = TrialWorkspace::with_reuse(true);
     for (i, (what, cfg)) in seq.iter().enumerate() {

@@ -12,7 +12,7 @@ use farm_des::stats::Running;
 use farm_des::time::Duration;
 use farm_des::{EventQueue, SimTime};
 use farm_disk::failure::Hazard;
-use farm_erasure::{evenodd::EvenOdd, gf256, Scheme};
+use farm_erasure::{gf256, Scheme};
 use farm_placement::{ClusterMap, Rush};
 
 /// Master seed for every generated case in this file.
@@ -183,34 +183,6 @@ fn rs_roundtrip_arbitrary_data_and_losses() {
         );
         for (col, (w, a)) in working.iter().zip(&all).enumerate() {
             assert_eq!(w.as_ref().unwrap(), a, "case {i}: column {col} differs");
-        }
-    }
-}
-
-#[test]
-fn evenodd_double_erasure_roundtrip() {
-    for (i, mut rng) in cases(4, 60) {
-        let m = 1 + rng.below(8) as usize;
-        let chunks = 1 + rng.below(3) as usize;
-        let code = EvenOdd::new(m);
-        let col_len = code.rows() * chunks * 3;
-        let data: Vec<Vec<u8>> = (0..m)
-            .map(|_| (0..col_len).map(|_| rng.bits() as u8).collect())
-            .collect();
-        let (p, q) = code.encode(&data);
-        let all: Vec<Vec<u8>> = data.iter().cloned().chain([p, q]).collect();
-        let total = m + 2;
-        let a = rng.below(total as u64) as usize;
-        let b = rng.below(total as u64) as usize;
-        let mut cols: Vec<Option<Vec<u8>>> = all.iter().cloned().map(Some).collect();
-        cols[a] = None;
-        cols[b] = None;
-        assert!(
-            code.reconstruct(&mut cols),
-            "case {i}: EvenOdd(m={m}) failed on erasures ({a}, {b})"
-        );
-        for (col, c) in all.iter().enumerate() {
-            assert_eq!(cols[col].as_ref().unwrap(), c, "case {i}: column {col}");
         }
     }
 }

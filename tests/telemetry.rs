@@ -416,3 +416,38 @@ fn too_fine_a_timeline_is_dropped_for_the_batch() {
         "no timeline is written"
     );
 }
+
+#[test]
+fn full_disk_artifact_writes_warn_once_and_keep_the_summary() {
+    // A sink whose writes fail (here: every write to /dev/full) must
+    // warn once and leave the batch's results alone — never drop the
+    // artifact silently.
+    let full = "/dev/full";
+    if !std::path::Path::new(full).exists() {
+        eprintln!("skipped: {full} is absent on this host");
+        return;
+    }
+    let cfg = lossy();
+    let on = ObsOptions {
+        trace: Some(TraceSpec {
+            sel: TraceSel::Loss,
+            path: Some(full.to_string()),
+        }),
+        postmortem: Some(full.to_string()),
+        spans: Some(SpansSpec {
+            path: full.to_string(),
+            format: SpanFormat::Jsonl,
+        }),
+        ..obs_with_timeline(full, None)
+    };
+    let (base, _) = run_trials_observed(&cfg, 7, 6, TrialMode::Full, 1, &ObsOptions::off());
+    let (got, _) = run_trials_observed(&cfg, 7, 6, TrialMode::Full, 1, &on);
+    assert!(base.p_loss.successes > 0, "the batch must lose data");
+    assert_eq!(base.to_compact(), got.to_compact());
+    for sink in ["timeline", "post-mortem", "spans", "trace"] {
+        assert!(
+            farm_obs::diag::warned(&format!("{sink}-write")),
+            "no warning for the failed {sink} write"
+        );
+    }
+}
